@@ -19,13 +19,13 @@ Rule names are stable strings (they appear in the JSON reports):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import covering
 from .errors import CapacityError, ParameterError
-from .words import binom, ceil_div, ceil_fraction
+from .jsondoc import JsonDoc
+from .words import binom, ceil_div
 
 
 def _check(L: int, s: int, r: int, min_s: int = 1):
@@ -195,7 +195,7 @@ def exact_n(L: int, s: int, r: int, with_rule: bool = False):
 
 
 @dataclass
-class BoundReport:
+class BoundReport(JsonDoc):
     L: int
     s: int
     r: int
@@ -229,11 +229,6 @@ class BoundReport:
             "exact": self.exact,
             "exact_rule": self.exact_rule,
         }
-
-    def dumps(self, pretty: bool = False) -> str:
-        if pretty:
-            return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def best_lower(L: int, s: int, r: int) -> int:

@@ -27,6 +27,7 @@ from .covering import (
     verify_covering,
 )
 from .errors import CapacityError, FormatError, ParameterError
+from .jsondoc import dumps
 from .protocol import load_database, run_simulation
 from .schemes import (
     JohnsonPpricCode,
@@ -50,10 +51,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(doc, sort_keys=True))
+    print(dumps(doc, pretty))
 
 
 def _load_json(path: str) -> dict:

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, FormatError, ParameterError
+from .jsondoc import JsonDoc
 from .words import (
     BinaryWord,
     SchemeParams,
@@ -35,7 +36,7 @@ from .words import (
 
 
 @dataclass(frozen=True)
-class PpricCode:
+class PpricCode(JsonDoc):
     params: SchemeParams
     codewords: tuple[BinaryWord, ...]
 
@@ -78,12 +79,6 @@ class PpricCode:
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad code document: {exc}") from exc
         return cls(SchemeParams(L, s, r), words)
-
-    def dumps(self, pretty: bool = False) -> str:
-        doc = self.to_json_dict()
-        if pretty:
-            return json.dumps(doc, indent=2, sort_keys=True)
-        return json.dumps(doc, sort_keys=True)
 
     @classmethod
     def loads(cls, text: str) -> "PpricCode":

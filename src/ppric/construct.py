@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .codes import PpricCode, pad_coordinate, scale_code, verify_exact, _min_multihit_set
+from .codes import PpricCode, pad_coordinate, verify_exact, _min_multihit_set
 from .covering import (
     CoveringDesign,
     all_pairs_design,
@@ -425,9 +425,6 @@ class Recipe:
     def to_json_dict(self) -> dict:
         return {"rule": self.rule, **self.params}
 
-    def build(self, L: int, s: int, r: int) -> PpricCode:
-        return build_recipe(self, L, s, r)
-
 
 def build_recipe(recipe: Recipe, L: int, s: int, r: int) -> PpricCode:
     """Replay a catalog entry into an actual verified code."""
@@ -446,15 +443,14 @@ def build_recipe(recipe: Recipe, L: int, s: int, r: int) -> PpricCode:
         return construction3(L, s, r, p["k"], p["t"])
     if rule == "design952":
         code = design952_code(s, r)
-        return pad_coordinate(code, L - code.params.L) if L > code.params.L else code
-    if rule == "design422":
+    elif rule == "design422":
         code = design422_code(s, r)
-        return pad_coordinate(code, L - code.params.L) if L > code.params.L else code
-    if rule == "doubling":
+    elif rule == "doubling":
         d = design_9_5_2() if p["seed"] == "9-5-2" else all_pairs_design(4)
         code = doubling(d, d)
-        return pad_coordinate(code, L - code.params.L) if L > code.params.L else code
-    raise ParameterError(f"unknown recipe rule {rule!r}")
+    else:
+        raise ParameterError(f"unknown recipe rule {rule!r}")
+    return pad_coordinate(code, L - code.params.L) if L > code.params.L else code
 
 
 def available_recipes(L: int, s: int, r: int) -> list[Recipe]:

@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .cover import Budget, Cover
 from .errors import CapacityError, FormatError, ParameterError
 from .words import ceil_div
 
@@ -93,13 +94,13 @@ def exact_covering_number(
 ) -> int | tuple[int, tuple[frozenset[int], ...]]:
     """c(n, k, t) by exhaustive search (n <= 10).
 
-    Iterative deepening from the Schonheim value (or 1 when k = t makes
-    that bound inapplicable); within a level, depth-first over blocks in
-    lexicographic order with the first block pinned to {1..k}, always
-    branching on the lexicographically first uncovered t-subset.  The
-    witness is therefore deterministic.  Raises CapacityError after
-    ``node_budget`` branch nodes; some small-n instances still have deep
-    cover numbers and blow up well before the size caps bite.
+    A minimum cover of the t-subsets by the k-subsets, searched by the
+    engine in ``cover`` with iterative deepening from the Schonheim value
+    (or 1 when k = t makes that bound inapplicable) and the first block
+    pinned to {1..k}, so the witness is deterministic.  Raises
+    CapacityError after ``node_budget`` branch nodes; some small-n
+    instances still have deep cover numbers and blow up well before the
+    size caps bite.
     """
     if not n >= k >= t > 0:
         raise ParameterError(f"need n >= k >= t > 0, got ({n},{k},{t})")
@@ -108,65 +109,19 @@ def exact_covering_number(
     if math.comb(n, k) > (1 << 16):
         raise CapacityError("exact covering search capped at C(n,k) <= 2**16")
 
-    t_subs = list(itertools.combinations(range(1, n + 1), t))
-    t_index = {sub: i for i, sub in enumerate(t_subs)}
-    all_blocks = list(itertools.combinations(range(1, n + 1), k))
-    block_cover = []
-    for blk in all_blocks:
-        m = 0
-        for sub in itertools.combinations(blk, t):
-            m |= 1 << t_index[sub]
-        block_cover.append(m)
-    block_pos = {blk: i for i, blk in enumerate(all_blocks)}
-    full_mask = (1 << len(t_subs)) - 1
-    per_block = math.comb(k, t)
-
-    # blocks containing a given t-subset, in lex order
-    containing: dict[tuple, list[int]] = {sub: [] for sub in t_subs}
-    for i, blk in enumerate(all_blocks):
-        for sub in itertools.combinations(blk, t):
-            containing[sub].append(i)
-
-    first = tuple(range(1, k + 1))
-    start_mask = block_cover[block_pos[first]]
-
-    nodes = 0
-
-    def dfs(uncovered: int, chosen: list[int], budget: int) -> list[int] | None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise CapacityError(
-                f"covering search budget {node_budget} exceeded at ({n},{k},{t})"
-            )
-        if not uncovered:
-            return list(chosen)
-        if ceil_div(uncovered.bit_count(), per_block) > budget:
-            return None
-        target = t_subs[(uncovered & -uncovered).bit_length() - 1]
-        for bi in containing[target]:
-            if bi in chosen_set:
-                continue
-            chosen.append(bi)
-            chosen_set.add(bi)
-            got = dfs(uncovered & ~block_cover[bi], chosen, budget - 1)
-            if got is not None:
-                return got
-            chosen_set.discard(bi)
-            chosen.pop()
-        return None
-
+    points = range(1, n + 1)
+    t_index = {sub: i for i, sub in enumerate(itertools.combinations(points, t))}
+    blocks = list(itertools.combinations(points, k))
+    instance = Cover(
+        ([t_index[sub] for sub in itertools.combinations(blk, t)]
+         for blk in blocks),
+        [len(t_index)],
+    )
     lower = 1 if k == t else schoenheim_bound(n, k, t)
-    m = max(1, lower)
-    while True:
-        chosen_set = {block_pos[first]}
-        got = dfs(full_mask & ~start_mask, [block_pos[first]], m - 1)
-        if got is not None:
-            if not return_witness:
-                return m
-            blocks = tuple(frozenset(all_blocks[i]) for i in got)
-            return m, blocks
-        m += 1
+    got = instance.solve(lower, len(blocks), Budget(node_budget))
+    if not return_witness:
+        return len(got)
+    return len(got), tuple(frozenset(blocks[i]) for i in got)
 
 
 # ---------------------------------------------------------------------------

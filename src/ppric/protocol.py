@@ -15,12 +15,12 @@ seed on any platform.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from .codes import PpricCode, verify_exact
 from .errors import CapacityError, FormatError, ParameterError
+from .jsondoc import JsonDoc
 from .schemes import JOHNSON_SCAN_CAP, JohnsonPpricCode, johnson_verify
 from .words import (
     BinaryWord,
@@ -147,7 +147,7 @@ class Query:
 
 
 @dataclass(frozen=True)
-class ProtocolTranscript:
+class ProtocolTranscript(JsonDoc):
     seed: int
     permutation: object
     queries: tuple[Query, ...]
@@ -164,11 +164,6 @@ class ProtocolTranscript:
             "reconstructed": sorted(self.reconstructed),
             "privacy_level": self.privacy_level,
         }
-
-    def dumps(self, pretty: bool = False) -> str:
-        if pretty:
-            return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -13,79 +13,45 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .codes import PpricCode, Verdict
+from .codes import PpricCode, Verdict, full_sphere_identity_holds
+from .cover import Budget, Cover
 from .covering import CoveringDesign, verify_covering
 from .errors import CapacityError, FormatError, ParameterError
+from .jsondoc import JsonDoc
 from .words import (
     BinaryWord,
     JohnsonWord,
     QaryWord,
     binom,
+    enumerate_ball,
+    enumerate_sphere,
     johnson_distance,
 )
 
 SPACE_CAP = 1 << 24
 IDENTITY_WORK_CAP = 1 << 26
 JOHNSON_SCAN_CAP = 1 << 18
-EXACT_CHECK_CAP = 5000
 
 
 # ---------------------------------------------------------------------------
 # the sphere identity, checked by full enumeration
 # ---------------------------------------------------------------------------
 
-def _binary_identity(x: BinaryWord, r: int, s: int) -> bool:
-    L = x.length
-    sphere = [x.mask ^ sum(1 << c for c in picks)
-              for picks in itertools.combinations(range(L), s)]
-    for y in range(1 << L):
-        inside = (x.mask ^ y).bit_count() <= r
-        covered = all((z ^ y).bit_count() <= r + s for z in sphere)
-        if inside != covered:
+def _scan_identity(center, sphere: list, space, dist, r: int, s: int) -> bool:
+    """Does every word of ``space`` lie in B(center, r) exactly when it
+    lies in every B(z, r+s) over the sphere?"""
+    for y in space:
+        if (dist(center, y) <= r) != all(dist(z, y) <= r + s for z in sphere):
             return False
     return True
 
 
-def _qary_identity(x: QaryWord, r: int, s: int) -> bool:
-    q, L = x.q, x.length
-    sphere = []
-    for picks in itertools.combinations(range(L), s):
-        for repl in itertools.product(range(q - 1), repeat=s):
-            z = list(x.symbols)
-            for pos, step in zip(picks, repl):
-                # step enumerates the q-1 symbols different from x at pos
-                z[pos] = (z[pos] + 1 + step) % q
-            sphere.append(tuple(z))
-    xs = x.symbols
-    for y in itertools.product(range(q), repeat=L):
-        dxy = sum(1 for a, b in zip(xs, y) if a != b)
-        inside = dxy <= r
-        covered = True
-        for z in sphere:
-            if sum(1 for a, b in zip(z, y) if a != b) > r + s:
-                covered = False
-                break
-        if inside != covered:
-            return False
-    return True
+def _hamming(a: tuple, b: tuple) -> int:
+    return sum(u != v for u, v in zip(a, b))
 
 
-def _johnson_identity(x: JohnsonWord, r: int, s: int) -> bool:
-    n, L = x.n, x.length
-    ground = range(1, n + 1)
-    inside_x = sorted(x.elements)
-    outside_x = sorted(set(ground) - x.elements)
-    sphere = []
-    for drop in itertools.combinations(inside_x, s):
-        for add in itertools.combinations(outside_x, s):
-            sphere.append((x.elements - set(drop)) | set(add))
-    for pick in itertools.combinations(ground, L):
-        y = set(pick)
-        inside = len(x.elements - y) <= r
-        covered = all(len(z - y) <= r + s for z in sphere)
-        if inside != covered:
-            return False
-    return True
+def _johnson(a: frozenset, b: frozenset) -> int:
+    return len(a - b)
 
 
 def verify_symmetric_sphere_identity(x, r: int, s: int) -> bool:
@@ -100,16 +66,13 @@ def verify_symmetric_sphere_identity(x, r: int, s: int) -> bool:
         raise ParameterError("radii must be nonnegative")
     if isinstance(x, BinaryWord):
         diam, size = x.length, 1 << x.length
-        runner = _binary_identity
         sphere_size = binom(x.length, s)
     elif isinstance(x, QaryWord):
         diam, size = x.length, x.q ** x.length
-        runner = _qary_identity
         sphere_size = binom(x.length, s) * (x.q - 1) ** s
     elif isinstance(x, JohnsonWord):
         diam = min(x.length, x.n - x.length)
         size = binom(x.n, x.length)
-        runner = _johnson_identity
         sphere_size = binom(x.length, s) * binom(x.n - x.length, s)
     else:
         raise ParameterError(f"not a scheme word: {x!r}")
@@ -124,7 +87,18 @@ def verify_symmetric_sphere_identity(x, r: int, s: int) -> bool:
         raise CapacityError(f"scheme size {size} exceeds {SPACE_CAP}")
     if size * sphere_size > IDENTITY_WORK_CAP:
         raise CapacityError("identity scan work exceeds the cap")
-    return runner(x, r, s)
+    if isinstance(x, BinaryWord):
+        # the identity is translation invariant, so centre it on zero
+        return full_sphere_identity_holds(x.length, s, r)
+    if isinstance(x, QaryWord):
+        space = itertools.product(range(x.q), repeat=x.length)
+        return _scan_identity(x.symbols,
+                              [z.symbols for z in enumerate_sphere(x, s)],
+                              space, _hamming, r, s)
+    space = map(frozenset, itertools.combinations(range(1, x.n + 1), x.length))
+    return _scan_identity(x.elements,
+                          [z.elements for z in enumerate_sphere(x, s)],
+                          space, _johnson, r, s)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +138,7 @@ def qary_verify(code: PpricCode, q: int) -> Verdict:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class JohnsonPpricCode:
+class JohnsonPpricCode(JsonDoc):
     """Code in J(n, L): L-subsets at Johnson distance s from a center x."""
 
     n: int
@@ -203,11 +177,6 @@ class JohnsonPpricCode:
             "x": sorted(self.x.elements),
             "codewords": [sorted(v.elements) for v in self.codewords],
         }
-
-    def dumps(self, pretty: bool = False) -> str:
-        if pretty:
-            return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JohnsonPpricCode":
@@ -297,13 +266,35 @@ def johnson_construction(n: int, L: int, s: int, r: int,
     return code
 
 
+def _johnson_cover(n: int, L: int, s: int, r: int) -> Cover:
+    """Codes on the s-sphere around x = {1..L} as a cover instance.
+
+    The candidates are the sphere words, and the first one, v0, is pinned:
+    the stabiliser of x acts transitively on the sphere, so some image of
+    any code contains v0.  A family containing v0 is a code iff every word
+    outside B(x, r) lies outside some B(v, r+s); v0 alone already expels
+    everything beyond B(v0, r+s), so the elements are the words of
+    B(v0, r+s) outside B(x, r), each covered by the sphere words it lies
+    far from.
+    """
+    x = JohnsonWord(n, frozenset(range(1, L + 1)))
+    sphere = list(enumerate_sphere(x, s))
+    universe = [y.elements for y in enumerate_ball(sphere[0], r + s)
+                if len(x.elements - y.elements) > r]
+    return Cover(
+        ([j for j, y in enumerate(universe) if len(v.elements - y) > r + s]
+         for v in sphere),
+        [len(universe)],
+    )
+
+
 def johnson_exact_check(n: int, L: int, s: int, r: int) -> bool:
     """Confirm the minimum code size in J(n, L) is exactly 2r+3.
 
-    Exhaustively refutes every (2r+2)-subset of the distance-s sphere
-    around the canonical center, then builds and verifies the 2r+3
-    construction.  Only defined in the L >= s(2r+3) regime; outside it
-    nothing is claimed and a parameter error is raised.
+    Searches for a code of at most 2r+2 words on the distance-s sphere
+    around the canonical center; when none exists, builds and verifies
+    the 2r+3 construction.  Only defined in the L >= s(2r+3) regime;
+    outside it nothing is claimed and a parameter error is raised.
     """
     if s < 1:
         raise ParameterError("exact check needs s >= 1")
@@ -317,43 +308,9 @@ def johnson_exact_check(n: int, L: int, s: int, r: int) -> bool:
     space = binom(n, L)
     if space > JOHNSON_SCAN_CAP:
         raise CapacityError(f"J({n},{L}) has {space} words, over the scan cap")
-    x = frozenset(range(1, L + 1))
-    inside = sorted(x)
-    outside = sorted(set(range(1, n + 1)) - x)
-    sphere = []
-    for drop in itertools.combinations(inside, s):
-        for add in itertools.combinations(outside, s):
-            sphere.append((x - set(drop)) | set(add))
-    k = 2 * r + 2
-    if binom(len(sphere), k) > EXACT_CHECK_CAP:
-        raise CapacityError(
-            f"C({len(sphere)},{k}) candidate subsets exceed {EXACT_CHECK_CAP}"
-        )
-
-    # precompute, per sphere word, the outside-ball words it fails to expel;
-    # a candidate subset is a code iff the AND of its masks is empty
-    reach = r + s
-    bad_masks = []
-    outside_words = []
-    for pick in itertools.combinations(range(1, n + 1), L):
-        y = frozenset(pick)
-        if len(x - y) > r:
-            outside_words.append(y)
-    for v in sphere:
-        m = 0
-        for j, y in enumerate(outside_words):
-            if len(v - y) <= reach:
-                m |= 1 << j
-        bad_masks.append(m)
-    for combo in itertools.combinations(range(len(sphere)), k):
-        joint = ~0
-        for i in combo:
-            joint &= bad_masks[i]
-            if joint == 0:
-                break
-        if joint == 0:
-            # a 2r+2 code would contradict the lower bound
-            return False
+    if _johnson_cover(n, L, s, r).solve(1, 2 * r + 2, Budget()) is not None:
+        # a 2r+2 code would contradict the lower bound
+        return False
     johnson_construction(n, L, s, r)
     return True
 
@@ -363,7 +320,7 @@ def johnson_exact_check(n: int, L: int, s: int, r: int) -> bool:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class JohnsonCoveringCode:
+class JohnsonCoveringCode(JsonDoc):
     """Weight-L words with L-k ones among the first L coordinates."""
 
     n: int
@@ -402,11 +359,6 @@ class JohnsonCoveringCode:
             "t": self.t,
             "codewords": [sorted(c.elements) for c in self.codewords],
         }
-
-    def dumps(self, pretty: bool = False) -> str:
-        if pretty:
-            return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,9 @@ size min(r+2*gamma, L), some codeword c satisfies |P n supp(c)| < gamma.
 (Hitting sets only grow under padding, so checking the top size per
 gamma suffices.)  Each such (gamma, P) pair is an element to be covered;
 each candidate codeword covers a fixed, precomputable element set.
-Finding N is then a minimum set cover, searched by iterative deepening
-over code size with the first codeword pinned to support {1..s} by
+Finding N is then a minimum set cover, searched by the engine in
+``cover`` with the first codeword pinned to support {1..s} by
 coordinate-permutation symmetry.
-
-Within one size, the tree branches on an uncovered element: every
-completion must contain at least one of its handlers, so the children
-commit one handler each and ban the handlers tried by earlier siblings.
-That partitions the completions, so each one is visited exactly once and
-the first success is deterministic for fixed parameters.
 
 Every witness is re-checked with verify_exact before being returned.
 """
@@ -22,25 +16,22 @@ Every witness is re-checked with verify_exact before being returned.
 from __future__ import annotations
 
 import itertools
-import json
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 from . import bounds
 from .codes import PpricCode, mippr_min_weight, verify_exact
+from .cover import DEFAULT_NODE_BUDGET, Budget, Cover
 from .errors import CapacityError, ParameterError
+from .jsondoc import JsonDoc
 from .words import BinaryWord, SchemeParams, binom
 
 POOL_CAP = 5000
 UNIVERSE_CAP = 60_000
 COVER_WORK_CAP = 20_000_000
-DEFAULT_NODE_BUDGET = 5_000_000
-# how many uncovered elements to inspect when choosing the branch element
-ELEMENT_WINDOW = 64
 
 
 @dataclass(frozen=True)
-class SearchResult:
+class SearchResult(JsonDoc):
     params: SchemeParams
     n_exact: int
     witness: PpricCode
@@ -56,14 +47,10 @@ class SearchResult:
             "witness": self.witness.to_json_dict(),
         }
 
-    def dumps(self, pretty: bool = False) -> str:
-        if pretty:
-            return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
-
-class _Space:
-    """Candidate pool plus the per-gamma element universes and cover masks."""
+class _Space(Cover):
+    """Candidate pool plus the per-gamma element universes, as a cover
+    instance: candidate i is the weight-s word pool[i]."""
 
     def __init__(self, L: int, s: int, r: int):
         self.params = SchemeParams(L, s, r)
@@ -76,205 +63,57 @@ class _Space:
             for supp in itertools.combinations(range(L), s)
         ]
         gmax = min(s, (L - r + 1) // 2)
-        self.gammas = list(range(1, gmax + 1))
-        widths = [min(r + 2 * g, L) for g in self.gammas]
+        gammas = list(range(1, gmax + 1))
+        widths = [min(r + 2 * g, L) for g in gammas]
         if sum(binom(L, w) for w in widths) > UNIVERSE_CAP:
             raise CapacityError("element universe exceeds the search cap")
 
         # per-candidate cover count is the same for every weight-s word
-        per_cand = 0
-        self.seg_count = []
-        for g, w in zip(self.gammas, widths):
-            self.seg_count.append(
-                sum(binom(s, i) * binom(L - s, w - i) for i in range(g))
-            )
-            per_cand += self.seg_count[-1]
+        per_cand = sum(
+            binom(s, i) * binom(L - s, w - i)
+            for g, w in zip(gammas, widths) for i in range(g)
+        )
         if per_cand * len(self.pool) > COVER_WORK_CAP:
             raise CapacityError("cover-mask precomputation exceeds the work cap")
 
         # concatenated element indexing: segment per gamma
-        self.seg_offset = []
-        self.seg_size = []
-        offset = 0
-        index_of: dict[int, int] = {}
+        seg_sizes = []
+        index_of: dict[tuple[int, int], int] = {}
         for w in widths:
-            self.seg_offset.append(offset)
-            n_seg = 0
+            offset = len(index_of)
             for supp in itertools.combinations(range(L), w):
-                index_of[self._key(w, supp)] = offset + n_seg
-                n_seg += 1
-            self.seg_size.append(n_seg)
-            offset += n_seg
-        self.total = offset
-        self.full = (1 << offset) - 1
+                index_of[w, sum(1 << c for c in supp)] = len(index_of)
+            seg_sizes.append(len(index_of) - offset)
 
-        all_coords = list(range(L))
-        self.cover = []
-        # handler[j] = mask over candidate indices covering element j
-        self.handler = [0] * self.total
-        for ci, cand in enumerate(self.pool):
-            supp = [c for c in all_coords if cand >> c & 1]
-            comp = [c for c in all_coords if not cand >> c & 1]
-            cbit = 1 << ci
-            mask = 0
-            for g, w, off in zip(self.gammas, widths, self.seg_offset):
-                for i in range(g):
-                    if i > len(supp) or w - i > len(comp) or w - i < 0:
-                        continue
-                    for inside in itertools.combinations(supp, i):
-                        for outside in itertools.combinations(comp, w - i):
-                            pts = tuple(sorted(inside + outside))
-                            j = index_of[self._key(w, pts)]
-                            mask |= 1 << j
-                            self.handler[j] |= cbit
-            self.cover.append(mask)
-        self.full_pool = (1 << len(self.pool)) - 1
+        def members():
+            all_coords = list(range(L))
+            for cand in self.pool:
+                supp = [c for c in all_coords if cand >> c & 1]
+                comp = [c for c in all_coords if not cand >> c & 1]
+                elements = []
+                for g, w in zip(gammas, widths):
+                    for i in range(g):
+                        if w - i > len(comp):
+                            continue
+                        for inside in itertools.combinations(supp, i):
+                            for outside in itertools.combinations(comp, w - i):
+                                key = sum(1 << c for c in inside + outside)
+                                elements.append(index_of[w, key])
+                yield elements
 
-    @staticmethod
-    def _key(width: int, supp: tuple) -> tuple[int, int]:
-        return width, sum(1 << c for c in supp)
+        super().__init__(members(), seg_sizes)
 
     def make_code(self, indices) -> PpricCode:
+        """The code on the given pool indices, re-checked with verify_exact."""
         L = self.params.L
-        words = tuple(
-            BinaryWord(L, self.pool[i]) for i in indices
-        )
-        return PpricCode(self.params, words)
-
-    def segment_counts(self, unhandled: int) -> list[int]:
-        out = []
-        for off, size in zip(self.seg_offset, self.seg_size):
-            out.append((unhandled >> off & ((1 << size) - 1)).bit_count())
-        return out
-
-    def pick_handlers(self, unhandled: int, alive: int) -> int:
-        """Handler mask of the branch element, or 0 for a dead position.
-
-        Scans the lowest-index uncovered elements (at most ELEMENT_WINDOW
-        of them) and keeps the one with the fewest usable handlers.  Any
-        inspected element with none at all kills the position outright.
-        """
-        best = 0
-        best_mask = 0
-        u = unhandled
-        seen = 0
-        while u and seen < ELEMENT_WINDOW:
-            low = u & -u
-            u ^= low
-            seen += 1
-            h = self.handler[low.bit_length() - 1] & alive
-            c = h.bit_count()
-            if c == 0:
-                return 0
-            if best == 0 or c < best:
-                best, best_mask = c, h
-                if c == 1:
-                    break
-        return best_mask
-
-
-class _Budget:
-    __slots__ = ("nodes", "limit")
-
-    def __init__(self, limit: int):
-        self.nodes = 0
-        self.limit = limit
-
-    def spend(self):
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise CapacityError(f"search node budget {self.limit} exceeded")
-
-
-def _dfs(space: _Space, chosen: list[int], unhandled: int, alive: int,
-         slots: int, budget: _Budget,
-         collect: list | None) -> tuple[int, ...] | None:
-    """First completion in branch order as a sorted index tuple, or None.
-
-    ``alive`` is the candidate mask still allowed on this path.  With
-    ``collect`` a list, every completion is appended instead and None is
-    returned; each is visited exactly once thanks to the sibling bans.
-    """
-    budget.spend()
-    if slots == 0:
-        if unhandled:
-            return None
-        ix = tuple(sorted(chosen))
-        code = space.make_code(ix)
+        words = tuple(BinaryWord(L, self.pool[i]) for i in indices)
+        code = PpricCode(self.params, words)
         if not verify_exact(code).is_ppric:
             raise AssertionError(
                 "universe bookkeeping disagrees with verify_exact; "
-                f"offending index tuple {ix}"
+                f"offending index tuple {tuple(indices)}"
             )
-        if collect is not None:
-            collect.append(ix)
-            return None
-        return ix
-    if not unhandled:
-        # a strictly smaller cover exists, so the deepening loop would have
-        # stopped at an earlier size; only a caller-supplied oversize m
-        # (minimal_codes_enumerate beyond the minimum) can land here
-        raise ParameterError("requested size exceeds the minimum code size")
-    for cnt, cap in zip(space.segment_counts(unhandled), space.seg_count):
-        if cnt > slots * cap:
-            return None
-    handlers = space.pick_handlers(unhandled, alive)
-    while handlers:
-        low = handlers & -handlers
-        handlers ^= low
-        i = low.bit_length() - 1
-        chosen.append(i)
-        hit = _dfs(space, chosen, unhandled & ~space.cover[i],
-                   alive & ~low, slots - 1, budget, collect)
-        chosen.pop()
-        if hit is not None:
-            return hit
-        # sibling ban: completions using i were all just enumerated
-        alive &= ~low
-    return None
-
-
-def _search_at_size(space: _Space, m: int, budget: _Budget,
-                    branch: int | None = None,
-                    banned: int = 0) -> tuple[int, ...] | None:
-    """First size-m code containing candidate 0, in branch order.
-
-    ``branch``/``banned`` preseed one root-level branch: the second chosen
-    candidate and the sibling handlers already excluded, for fan-out.
-    """
-    root = space.full & ~space.cover[0]
-    if m == 1:
-        budget.spend()
-        return (0,) if root == 0 else None
-    alive = space.full_pool & ~1 & ~banned
-    chosen = [0]
-    slots = m - 1
-    if branch is not None:
-        alive &= ~(1 << branch)
-        chosen.append(branch)
-        root &= ~space.cover[branch]
-        slots -= 1
-    return _dfs(space, chosen, root, alive, slots, budget, None)
-
-
-_WORKER_SPACE: _Space | None = None
-
-
-def _init_worker(L: int, s: int, r: int):
-    # one space per worker process, shared across its branch tasks
-    global _WORKER_SPACE
-    _WORKER_SPACE = _Space(L, s, r)
-
-
-def _branch_worker(args) -> tuple[tuple[int, ...] | None, int, bool]:
-    m, branch, banned, budget_limit = args
-    budget = _Budget(budget_limit)
-    try:
-        hit = _search_at_size(_WORKER_SPACE, m, budget,
-                              branch=branch, banned=banned)
-    except CapacityError:
-        return None, budget.nodes, True
-    return hit, budget.nodes, False
+        return code
 
 
 def exact_n_search(L: int, s: int, r: int, size_cap: int | None = None,
@@ -298,80 +137,11 @@ def exact_n_search(L: int, s: int, r: int, size_cap: int | None = None,
         raise ParameterError(f"size_cap {size_cap} below the lower bound {lower}")
     space = _Space(L, s, r)
     top = len(space.pool) if size_cap is None else min(size_cap, len(space.pool))
-    budget = _Budget(node_budget)
-    for m in range(lower, top + 1):
-        if jobs > 1 and m >= 2:
-            hit = _parallel_size(space, m, budget, jobs, node_budget)
-        else:
-            hit = _search_at_size(space, m, budget)
-        if hit is not None:
-            code = space.make_code(hit)
-            assert verify_exact(code).is_ppric
-            return SearchResult(params, m, code, budget.nodes)
-    raise CapacityError(f"no code within size cap {top}")
-
-
-def _parallel_size(space: _Space, m: int, budget: _Budget, jobs: int,
-                   node_budget: int) -> tuple[int, ...] | None:
-    """Fan out over the root element's handler branches.
-
-    The winner is the earliest branch in serial order that succeeds, so
-    the result matches a single-process run.  A branch that blows its node
-    budget only matters if every earlier branch failed; then the serial
-    run would have blown up too and the same CapacityError is raised.
-    """
-    if m < 3:
-        return _search_at_size(space, m, budget)
-    root = space.full & ~space.cover[0]
-    handlers = space.pick_handlers(root, space.full_pool & ~1)
-    order = []
-    while handlers:
-        low = handlers & -handlers
-        handlers ^= low
-        order.append(low.bit_length() - 1)
-    if not order:
-        return None
-    L, s, r = space.params.L, space.params.s, space.params.r
-    exhausted = object()
-    results: dict[int, object] = {}
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                             initargs=(L, s, r)) as pool:
-        futures = {}
-        banned = 0
-        for k, h in enumerate(order):
-            futures[pool.submit(_branch_worker,
-                                (m, h, banned, node_budget))] = k
-            banned |= 1 << h
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                hit, nodes, over = fut.result()
-                budget.nodes += nodes
-                results[futures[fut]] = exhausted if over else hit
-            win: object = None
-            for k in range(len(order)):
-                if k not in results:
-                    break
-                got = results[k]
-                if got is exhausted:
-                    raise CapacityError(
-                        f"search node budget {node_budget} exceeded"
-                    )
-                if got is not None:
-                    win = got
-                    break
-            if win is not None:
-                for fut in pending:
-                    fut.cancel()
-                return win
-    for k in range(len(order)):
-        got = results[k]
-        if got is exhausted:
-            raise CapacityError(f"search node budget {node_budget} exceeded")
-        if got is not None:
-            return got
-    return None
+    budget = Budget(node_budget)
+    hit = space.solve(lower, top, budget, jobs)
+    if hit is None:
+        raise CapacityError(f"no code within size cap {top}")
+    return SearchResult(params, len(hit), space.make_code(hit), budget.nodes)
 
 
 def minimal_codes_enumerate(L: int, s: int, r: int, m: int,
@@ -392,16 +162,7 @@ def minimal_codes_enumerate(L: int, s: int, r: int, m: int,
     if m < bounds.best_lower(L, s, r):
         return []
     space = _Space(L, s, r)
-    if m > len(space.pool):
-        return []
-    budget = _Budget(node_budget)
-    found: list[tuple[int, ...]] = []
-    root = space.full & ~space.cover[0]
-    if m == 1:
-        if root == 0:
-            found.append((0,))
-    else:
-        _dfs(space, [0], root, space.full_pool & ~1, m - 1, budget, found)
+    found = space.collect(m, Budget(node_budget))
     return [space.make_code(ix) for ix in found]
 
 

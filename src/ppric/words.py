@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .errors import CapacityError, FormatError, ParameterError
@@ -364,13 +363,6 @@ def xor_translate(vector: int, z: int, L: int) -> int:
     return vector
 
 
-def iter_vector_bits(vector: int) -> Iterator[int]:
-    while vector:
-        low = vector & -vector
-        yield low.bit_length() - 1
-        vector ^= low
-
-
 def min_weight_member(vector: int, L: int) -> int | None:
     """Lowest-weight word in the set, ties broken by smallest mask value."""
     if not vector:
@@ -387,17 +379,7 @@ def min_weight_member(vector: int, L: int) -> int | None:
 # misc exact helpers
 # ---------------------------------------------------------------------------
 
-def ratio(L: int, s: int) -> Fraction:
-    if s <= 0:
-        raise ParameterError("ratio L/s needs s >= 1")
-    return Fraction(L, s)
-
-
 def ceil_div(num: int, den: int) -> int:
     if den <= 0:
         raise ParameterError("ceil_div wants a positive denominator")
     return -(-num // den)
-
-
-def ceil_fraction(f: Fraction) -> int:
-    return ceil_div(f.numerator, f.denominator)

@@ -113,6 +113,7 @@ def test_criterion_04_closed_forms_match_search():
 def test_criterion_05_bounds_bracket_search():
     fired = set()
     searched = 0
+    capacity_skips = []
     for L in range(1, 15):
         for s in range(1, 5):
             for r in range(0, 4):
@@ -130,11 +131,19 @@ def test_criterion_05_bounds_bracket_search():
                     found = exact_n_search(L, s, r, size_cap=up,
                                            node_budget=2_000_000).n_exact
                 except CapacityError:
+                    capacity_skips.append((L, s, r))
                     continue
                 searched += 1
                 assert lo <= found, (L, s, r)
                 if up is not None:
                     assert found <= up, (L, s, r)
+    # a slower search shows up here as a longer list
+    assert capacity_skips == [
+        (9, 3, 2), (10, 3, 2), (10, 3, 3), (10, 4, 1), (11, 3, 3), (11, 4, 1),
+        (11, 4, 2), (12, 3, 2), (12, 3, 3), (12, 4, 1), (12, 4, 2), (12, 4, 3),
+        (13, 3, 3), (14, 3, 3),
+    ]
+    assert searched == 98
     assert "lb.mills" in fired
     # the other two rules need s far above this grid; fixed firing points
     todorov = compute_report(34, 16, 0)
@@ -142,7 +151,7 @@ def test_criterion_05_bounds_bracket_search():
     special = compute_report(33, 16, 0)
     assert ("lb.r0.special", 7) in special.lower_bounds
     assert special.best_lower == 7
-    _ok(5, f"{searched} points searched")
+    _ok(5, f"{searched} points searched, {len(capacity_skips)} capacity skips")
 
 
 def test_criterion_06_doubling():

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppric import bounds
-from ppric.errors import ParameterError
+from ppric import bounds, covering
+from ppric.errors import CapacityError, ParameterError
 
 
 def test_lb_repeat():
@@ -151,3 +151,31 @@ def test_best_lower_never_beats_exact():
                 v = bounds.exact_n(L, s, r)
                 if v is not None:
                     assert bounds.best_lower(L, s, r) <= v
+
+
+def test_chain_probe_misses_pinned(monkeypatch):
+    # every covering number the chain probes for L <= 40 and r <= 5, and
+    # which of them its 50k-node budget misses; a slower covering search
+    # shows up here as a longer list
+    real = covering.exact_covering_number
+    seen = {}
+
+    def probe(n, k, t, node_budget):
+        if (n, k, t) not in seen:
+            try:
+                seen[n, k, t] = real(n, k, t, node_budget=node_budget)
+            except CapacityError:
+                seen[n, k, t] = None
+        if seen[n, k, t] is None:
+            raise CapacityError("probe budget")
+        return seen[n, k, t]
+
+    monkeypatch.setattr(covering, "exact_covering_number", probe)
+    for L in range(1, 41):
+        for r in range(0, 6):
+            for s in range(1, (L - r - 1) // 2 + 1):
+                bounds.lb_covering_chain(L, s, r)
+    assert len(seen) == 82
+    assert sorted(key for key, value in seen.items() if value is None) == [
+        (9, 6, 3), (9, 6, 4), (10, 6, 3), (10, 7, 3), (10, 7, 4), (10, 7, 5),
+    ]

@@ -1,0 +1,124 @@
+"""Golden CLI output: argv, exit code and stdout of in-process ``cli.main``.
+
+Any change to what a verb prints shows up here byte for byte.  When a
+change of output is intended, regenerate the golden file with
+
+    PYTHONPATH=src python tests/test_cli_golden.py --write
+
+and name every difference in CHANGES.md.  ``{dir}`` in an argv stands for
+a scratch directory holding the input files below.
+"""
+
+import contextlib
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from ppric.cli import main
+
+GOLDEN = Path(__file__).with_name("golden") / "cli.json"
+
+# input files, as literal text so the golden output does not depend on
+# any serializer under test
+FILES = {
+    "code.json": '{"L": 6, "codewords": ["110000", "001100", "000011"],'
+                 ' "r": 0, "s": 2}\n',
+    "bad.json": '{"L": 5, "codewords": ["11000", "10100", "10010", "10001"],'
+                ' "r": 0, "s": 2}\n',
+    "db.txt": "110000\n000011\n101010\n000000\n111000\n010100\n",
+}
+
+CASES = [
+    ["search", "--L", "7", "--s", "3", "--r", "0"],
+    ["search", "--L", "8", "--s", "3", "--r", "0"],
+    ["search", "--L", "9", "--s", "3", "--r", "1"],
+    ["search", "--L", "10", "--s", "3", "--r", "1"],
+    ["search", "--L", "11", "--s", "3", "--r", "1"],
+    ["search", "--L", "9", "--s", "4", "--r", "0", "--jobs", "2"],
+    ["search", "--L", "9", "--s", "3", "--r", "1", "--node-budget", "100"],
+    ["covering", "--exact", "--n", "6", "--k", "4", "--t", "2"],
+    ["covering", "--exact", "--n", "7", "--k", "3", "--t", "2"],
+    ["covering", "--exact", "--n", "7", "--k", "4", "--t", "3"],
+    ["covering", "--exact", "--n", "8", "--k", "3", "--t", "2"],
+    ["covering", "--exact", "--n", "10", "--k", "4", "--t", "3"],
+    ["covering", "--exact", "--n", "11", "--k", "3", "--t", "2"],
+    ["johnson", "--exact-check", "--n", "8", "--L", "4", "--s", "1",
+     "--r", "0"],
+    ["johnson", "--exact-check", "--n", "12", "--L", "4", "--s", "1",
+     "--r", "0"],
+    ["johnson", "--exact-check", "--n", "16", "--L", "8", "--s", "1",
+     "--r", "0"],
+    ["johnson", "--exact-check", "--n", "10", "--L", "5", "--s", "1",
+     "--r", "1"],
+    ["johnson", "--exact-check", "--n", "10", "--L", "4", "--s", "1",
+     "--r", "1"],
+    ["bounds", "--L", "9", "--s", "3", "--r", "2"],
+    ["bounds", "--L", "10", "--s", "3", "--r", "3"],
+    ["bounds", "--L", "12", "--s", "4", "--r", "1"],
+    ["bounds", "--L", "34", "--s", "16", "--r", "0"],
+    ["sweep", "--L", "6..8", "--s", "2", "--r", "0..1"],
+    ["construct", "--L", "12", "--s", "3", "--r", "1"],
+    ["construct", "--L", "12", "--s", "3", "--r", "1", "--list"],
+    ["verify", "--code", "{dir}/code.json"],
+    ["verify", "--code", "{dir}/bad.json"],
+    ["exact-n", "--L", "9", "--s", "3", "--r", "1"],
+    ["exact-n", "--L", "10", "--s", "3", "--r", "1"],
+    ["simulate", "--db", "{dir}/db.txt", "--code", "{dir}/code.json",
+     "--x", "110000", "--seed", "7"],
+]
+
+
+def run_case(argv, workdir) -> dict:
+    real = [a.replace("{dir}", str(workdir)) for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = main(real)
+    stdout = out.getvalue()
+    if "--jobs" in argv:
+        # under fan-out the count includes whichever later branches happened
+        # to finish before the winner, so only the witness is stable
+        stdout = re.sub(r'"nodes_explored": \d+', '"nodes_explored": null',
+                        stdout)
+    return {"argv": argv, "exit": rc, "stdout": stdout}
+
+
+def write_files(workdir: Path) -> None:
+    for name, text in FILES.items():
+        (workdir / name).write_text(text)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden")
+    write_files(path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert [g["argv"] for g in golden] == CASES
+
+
+@pytest.mark.parametrize("index", range(len(CASES)),
+                         ids=[" ".join(c) for c in CASES])
+def test_cli_golden(index, golden, workdir):
+    assert run_case(CASES[index], workdir) == golden[index]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        write_files(Path(tmp))
+        docs = [run_case(argv, tmp) for argv in CASES]
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(docs, indent=1) + "\n")

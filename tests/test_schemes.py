@@ -1,12 +1,17 @@
+import functools
+import itertools
+import operator
 import unittest
 
 from ppric.codes import make_code, verify_exact
 from ppric.construct import build_disjoint, build_extremal
+from ppric.cover import Budget
 from ppric.covering import fano_plane
 from ppric.errors import ParameterError
 from ppric.schemes import (
     JohnsonCoveringCode,
     JohnsonPpricCode,
+    _johnson_cover,
     johnson_construction,
     johnson_exact_check,
     johnson_verify,
@@ -15,7 +20,33 @@ from ppric.schemes import (
     verify_johnson_covering,
     verify_symmetric_sphere_identity,
 )
-from ppric.words import BinaryWord, JohnsonWord, QaryWord, johnson_distance
+from ppric.words import (
+    BinaryWord,
+    JohnsonWord,
+    QaryWord,
+    enumerate_sphere,
+    johnson_distance,
+)
+
+
+def brute_min_johnson_code(n, L, s, r, top):
+    """Fewest sphere words around {1..L} that form a code, trying every
+    family of at most ``top`` words with nothing pinned; None if none."""
+    x = frozenset(range(1, L + 1))
+    rest = sorted(set(range(1, n + 1)) - x)
+    sphere = [(x - set(drop)) | set(add)
+              for drop in itertools.combinations(sorted(x), s)
+              for add in itertools.combinations(rest, s)]
+    far = [y for y in map(frozenset, itertools.combinations(range(1, n + 1), L))
+           if len(x - y) > r]
+    # per sphere word, the far words it fails to expel
+    kept = [sum(1 << j for j, y in enumerate(far) if len(v - y) <= r + s)
+            for v in sphere]
+    for m in range(1, top + 1):
+        for family in itertools.combinations(kept, m):
+            if functools.reduce(operator.and_, family) == 0:
+                return m
+    return None
 
 
 class SphereIdentityTests(unittest.TestCase):
@@ -125,6 +156,21 @@ class JohnsonCodeTests(unittest.TestCase):
         with self.assertRaises(ParameterError):
             JohnsonPpricCode(7, 4, 1, 0, JohnsonWord(7, frozenset({1, 2, 3, 4})),
                              (JohnsonWord(7, frozenset({1, 2, 3, 5})),))
+
+    def test_exact_check_matches_brute_force(self):
+        for n, L, s, r in [(8, 4, 1, 0), (10, 5, 1, 1), (12, 5, 1, 1)]:
+            brute = brute_min_johnson_code(n, L, s, r, 2 * r + 3)
+            self.assertEqual(brute, 2 * r + 3)
+            self.assertTrue(johnson_exact_check(n, L, s, r))
+            # the pinned instance reaches the same minimum with a real
+            # code, so its refutations below 2r+3 are not vacuous
+            hit = _johnson_cover(n, L, s, r).solve(1, 2 * r + 3, Budget())
+            self.assertEqual(len(hit), brute)
+            x = JohnsonWord(n, frozenset(range(1, L + 1)))
+            sphere = list(enumerate_sphere(x, s))
+            code = JohnsonPpricCode(n, L, s, r, x,
+                                    tuple(sphere[i] for i in hit))
+            self.assertTrue(johnson_verify(code).is_ppric)
 
     def test_exact_check(self):
         self.assertTrue(johnson_exact_check(8, 4, 1, 0))
