@@ -142,6 +142,10 @@ _SEARCH_CONFIRMED = {(8, 3, 0): 4, (10, 3, 1): 6, (11, 3, 1): 5, (11, 5, 0): 6}
 _SEARCH_REFUTED = {(9, 3, 1), (12, 3, 2)}
 
 
+_TODOROV_ITEMS = {"lb.todorov.1": "exact.item3", "lb.todorov.2": "exact.item4",
+                  "lb.todorov.3": "exact.item5"}
+
+
 def exact_n(L: int, s: int, r: int, with_rule: bool = False):
     """Exact N(L, s, r) in the six known regimes, None elsewhere.
 
@@ -158,21 +162,18 @@ def exact_n(L: int, s: int, r: int, with_rule: bool = False):
     if rho >= r + 3:
         hit = ("exact.item1", r + 3)
     else:
-        m_top = (3 * (r + 3)) // 2
-        for m in range(r + 4, m_top + 1):
-            if Fraction(3 * r + 9 - m, 2) <= rho < Fraction(3 * r + 10 - m, 2):
-                hit = ("exact.item2", m)
-                break
-    if hit is None and r % 2 == 1:
-        if Fraction(9 * r + 25, 12) <= rho < Fraction(3 * r + 9, 4):
-            hit = ("exact.item3", (3 * r + 11) // 2)
-    if hit is None and r % 2 == 0:
-        if Fraction(3 * r + 9, 4) <= rho < Fraction(3 * r + 10, 4):
-            hit = ("exact.item4", (3 * r + 10) // 2)
-        elif r > 0 and Fraction(3 * r + 8, 4) <= rho < Fraction(3 * r + 9, 4):
-            hit = ("exact.item5", (3 * r + 12) // 2)
-        elif r == 0 and Fraction(17, 8) <= rho < Fraction(9, 4):
-            hit = ("exact.item6", 6)
+        # item 2 is the Mills bound on the part of its interval it makes exact
+        m = lb_mills(L, s, r)
+        if rho >= Fraction(3 * r + 9 - m, 2):
+            hit = ("exact.item2", m)
+    if hit is None:
+        # items 3..5 are the Todorov bounds, except that at r = 0 the third
+        # one is exact (item 6) only on [17/8, 9/4), not on all of [2, 9/4)
+        tod = lb_todorov(L, s, r, with_rule=True)
+        if tod is not None and (r > 0 or tod[0] != "lb.todorov.3"):
+            hit = (_TODOROV_ITEMS[tod[0]], tod[1])
+        elif tod is not None and rho >= Fraction(17, 8):
+            hit = ("exact.item6", tod[1])
     # The regime values below item 1 are only exact where a code of that
     # size actually exists; the blow-up recipes behind them need
     # divisibility (k | s and friends), and off those residues the true

@@ -105,31 +105,24 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    recipes = available_recipes(args.L, args.s, args.r)
+    wanted = {key: value for key, value in
+              (("rule", args.rule), ("k", args.k), ("t", args.t))
+              if value is not None}
+    recipes = [rec for rec in available_recipes(args.L, args.s, args.r)
+               if wanted.items() <= rec.to_json_dict().items()]
+    if not recipes:
+        asked = ", ".join(f"{key}={value}" for key, value in wanted.items())
+        raise ParameterError(
+            f"no feasible recipe with {asked} at "
+            f"({args.L},{args.s},{args.r}); try --list"
+        )
     if args.list:
         _emit(
             [{"rule": rec.rule_label(), "size": rec.size} for rec in recipes],
             args.pretty,
         )
         return 0
-    if args.rule is not None:
-        picked = None
-        for rec in recipes:
-            if rec.rule != args.rule:
-                continue
-            if args.k is not None and rec.params.get("k") != args.k:
-                continue
-            if args.t is not None and rec.params.get("t") != args.t:
-                continue
-            picked = rec
-            break
-        if picked is None:
-            raise ParameterError(
-                f"no feasible recipe {args.rule!r} at "
-                f"({args.L},{args.s},{args.r}); try --list"
-            )
-    else:
-        picked = recipes[0]
+    picked = recipes[0]
     code = build_recipe(picked, args.L, args.s, args.r)
     doc = code.to_json_dict()
     doc["rule"] = picked.rule_label()
@@ -340,11 +333,11 @@ def build_parser() -> _Parser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--rule", help="force one recipe family by name")
-    p.add_argument("--k", type=int, help="recipe block size, with --rule")
-    p.add_argument("--t", type=int, help="recipe cover depth, with --rule")
+    p.add_argument("--rule", help="keep only this recipe family")
+    p.add_argument("--k", type=int, help="keep only recipes with this k")
+    p.add_argument("--t", type=int, help="keep only recipes with this t")
     p.add_argument("--list", action="store_true",
-                   help="list feasible recipes instead of building")
+                   help="list the kept recipes instead of building")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("bounds", parents=[common],

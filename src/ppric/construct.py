@@ -11,17 +11,20 @@ blockwise complements, blow each point up into a grain of s/alpha
 consecutive coordinates (alpha = point count per complement block); the
 covering strength of the input becomes the type of the output.
 
-Every construction function verifies its output with verify_exact before
-returning it.
+RECIPES, the recipe table, has one row per construction family.  Its spec
+says once when a plan is feasible, how big it is and how long it must be;
+the catalog and every builder ask it.  Every construction verifies its
+output with verify_exact before returning it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .codes import PpricCode, pad_coordinate, verify_exact, _min_multihit_set
+from .codes import PpricCode, verify_exact, _min_multihit_set
 from .covering import (
     CoveringDesign,
     all_pairs_design,
@@ -88,12 +91,30 @@ class TypedDesign:
         return True
 
 
-def single_block_design(s: int, offset: int = 0) -> TypedDesign:
-    """One weight-s block: the trivial family of type 0."""
-    if s < 1:
-        raise ParameterError("block weight must be >= 1")
-    block = frozenset(range(offset + 1, offset + s + 1))
-    return TypedDesign(offset, s, 0, (block,))
+# the (n, 1, 1) designs behind the (k,1)-supersets, built once each
+_singletons = functools.cache(singleton_design)
+
+
+def _base(base) -> CoveringDesign:
+    """A superset base as a design: an int k stands for the (k+1, 1, 1) one."""
+    if isinstance(base, int):
+        if base < 1:
+            raise ParameterError("superset parameter k must be >= 1")
+        return _singletons(base + 1)
+    if not isinstance(base, CoveringDesign):
+        raise ParameterError("base must be a CoveringDesign or an int")
+    return base
+
+
+def _grain(base: CoveringDesign, s: int) -> int:
+    """Coordinates per point when the complements of the blocks of ``base``
+    (alpha = n - k points each) blow up to weight s."""
+    alpha = base.n - base.k
+    if alpha < 1:
+        raise ParameterError("base design must have k < n")
+    if s % alpha:
+        raise ParameterError(f"grain mismatch: {alpha} does not divide s={s}")
+    return s // alpha
 
 
 def build_superset(base, s: int, offset: int = 0) -> TypedDesign:
@@ -105,20 +126,10 @@ def build_superset(base, s: int, offset: int = 0) -> TypedDesign:
     (the "(k,1)-superset": k+1 blocks of weight s on (k+1)s/k coordinates,
     type 1).
     """
-    if isinstance(base, int):
-        if base < 1:
-            raise ParameterError("superset parameter k must be >= 1")
-        base = singleton_design(base + 1)
-    if not isinstance(base, CoveringDesign):
-        raise ParameterError("base must be a CoveringDesign or an int")
+    base = _base(base)
     if not verify_covering(base):
         raise ParameterError("base design does not cover its t-subsets")
-    alpha = base.n - base.k
-    if alpha < 1:
-        raise ParameterError("base design must have k < n")
-    if s % alpha:
-        raise ParameterError(f"grain mismatch: {alpha} does not divide s={s}")
-    grain = s // alpha
+    grain = _grain(base, s)
     ground = base.n * grain
 
     def grain_coords(point: int) -> range:
@@ -171,28 +182,14 @@ def construction1(designs, L: int) -> PpricCode:
 # ---------------------------------------------------------------------------
 
 def build_disjoint(L: int, s: int, r: int) -> PpricCode:
-    """r+3 pairwise-disjoint supports laid left to right."""
-    if s < 1:
-        raise ParameterError("build_disjoint needs s >= 1")
-    need = max(2 * s + r + 1, (r + 3) * s)
-    if L < need:
-        raise ParameterError(f"build_disjoint needs L >= {need}, got {L}")
-    words = []
-    for i in range(r + 3):
-        words.append(BinaryWord.from_support(L, range(i * s + 1, (i + 1) * s + 1)))
-    return _verified(PpricCode(SchemeParams(L, s, r), tuple(words)))
+    """r+3 pairwise-disjoint supports laid left to right: r+3 single blocks
+    side by side."""
+    return _build("disjoint", L, s, r)
 
 
 def build_full(L: int, s: int, r: int) -> PpricCode:
     """Every weight-s word; the universal fallback scheme."""
-    params = SchemeParams(L, s, r)
-    if binom(L, s) > 5000:
-        raise CapacityError("full code capped at C(L, s) <= 5000 codewords")
-    words = tuple(
-        BinaryWord.from_support(L, [c + 1 for c in supp])
-        for supp in itertools.combinations(range(L), s)
-    )
-    return PpricCode(params, words)  # admissibility alone guarantees this one
+    return _build("full", L, s, r)
 
 
 def build_extremal(s: int, r: int, L: int | None = None) -> PpricCode:
@@ -201,23 +198,7 @@ def build_extremal(s: int, r: int, L: int | None = None) -> PpricCode:
     Needs s > r.  The minimum length is 2s+r+1; a larger L pads with
     always-zero coordinates.
     """
-    if not s > r >= 0:
-        raise ParameterError("build_extremal needs s > r >= 0")
-    base_len = 2 * s + r + 1
-    if L is None:
-        L = base_len
-    if L < base_len:
-        raise ParameterError(f"need L >= {base_len}")
-    half1 = base_len // 2
-    words = []
-    for supp in itertools.combinations(range(1, half1 + 1), s):
-        words.append(BinaryWord.from_support(base_len, supp))
-    for supp in itertools.combinations(range(half1 + 1, base_len + 1), s):
-        words.append(BinaryWord.from_support(base_len, supp))
-    code = PpricCode(SchemeParams(base_len, s, r), tuple(words))
-    if L > base_len:
-        code = pad_coordinate(code, L - base_len)
-    return _verified(code)
+    return _build("extremal", L, s, r)
 
 
 def extremal_size(s: int, r: int) -> int:
@@ -235,91 +216,35 @@ def build_eps8(s: int, L: int | None = None) -> PpricCode:
     Six consecutive regions of sizes s/8, 5s/8, 3s/8, s/4, s/4, s/2; each
     codeword is a fixed union of regions totalling weight s.
     """
-    if s < 8 or s % 8:
-        raise ParameterError("build_eps8 needs a positive multiple of 8")
-    u = s // 8
-    base_len = 17 * u
-    if L is None:
-        L = base_len
-    if L < base_len:
-        raise ParameterError(f"need L >= {base_len}")
-    bounds = [0, 1, 6, 9, 11, 13, 17]
-    regions = [
-        range(bounds[i] * u + 1, bounds[i + 1] * u + 1) for i in range(6)
-    ]
-    membership = [
-        (0, 1, 3),      # regions 1, 2, 4
-        (0, 1, 4),      # regions 1, 2, 5
-        (0, 2, 3, 4),   # regions 1, 3, 4, 5
-        (0, 2, 5),      # regions 1, 3, 6
-        (1, 2),         # regions 2, 3
-        (3, 4, 5),      # regions 4, 5, 6
-    ]
-    words = []
-    for picks in membership:
-        supp = [c for i in picks for c in regions[i]]
-        words.append(BinaryWord.from_support(base_len, supp))
-    code = PpricCode(SchemeParams(base_len, s, 0), tuple(words))
-    if L > base_len:
-        code = pad_coordinate(code, L - base_len)
-    return _verified(code)
+    return _build("eps8", L, s, 0)
 
 
 def construction2(L: int, s: int, r: int, k: int, t: int) -> PpricCode:
     """Odd r: t (k+1,1)-supersets plus (r+3)/2 - t (k,1)-supersets,
     disjoint, left to right.  Size (r+3)(k+1)/2 + t."""
-    if r < 1 or r % 2 == 0:
-        raise ParameterError("construction2 needs odd r >= 1")
-    if k < 1 or t < 0 or t > (r + 1) // 2:
-        raise ParameterError("need k >= 1 and 0 <= t <= (r+1)/2")
-    plain = (r + 3) // 2 - t
-    if plain > 0 and s % k:
-        raise ParameterError(f"k={k} must divide s={s}")
-    if t > 0 and s % (k + 1):
-        raise ParameterError(f"k+1={k + 1} must divide s={s}")
-    need = Fraction(r + 3, 1) * (k + 1) / (2 * k) - Fraction(t, k * (k + 1))
-    if Fraction(L, s) < need:
-        raise ParameterError(f"need L/s >= {need}, got {Fraction(L, s)}")
-    designs = []
-    offset = 0
-    for _ in range(t):
-        d = build_superset(k + 1, s, offset)
-        designs.append(d)
-        offset += d.ground
-    for _ in range(plain):
-        d = build_superset(k, s, offset)
-        designs.append(d)
-        offset += d.ground
-    return construction1(designs, L)
+    return _build("construction2", L, s, r, k=k, t=t)
 
 
 def construction3(L: int, s: int, r: int, k: int, t: int) -> PpricCode:
     """Even r: the construction2 layout for r+2 minus one superset, plus a
     single disjoint codeword.  Size (r+2)(k+1)/2 + t + 1."""
-    if r < 0 or r % 2:
-        raise ParameterError("construction3 needs even r >= 0")
-    if k < 1 or t < 0 or t > r // 2:
-        raise ParameterError("need k >= 1 and 0 <= t <= r/2")
-    plain = (r + 2) // 2 - t
-    if plain > 0 and s % k:
-        raise ParameterError(f"k={k} must divide s={s}")
-    if t > 0 and s % (k + 1):
-        raise ParameterError(f"k+1={k + 1} must divide s={s}")
-    need = Fraction(r + 2, 1) * (k + 1) / (2 * k) - Fraction(t, k * (k + 1)) + 1
-    if Fraction(L, s) < need:
-        raise ParameterError(f"need L/s >= {need}, got {Fraction(L, s)}")
-    designs = []
-    offset = 0
-    for _ in range(t):
-        d = build_superset(k + 1, s, offset)
-        designs.append(d)
-        offset += d.ground
-    for _ in range(plain):
-        d = build_superset(k, s, offset)
-        designs.append(d)
-        offset += d.ground
-    designs.append(single_block_design(s, offset))
-    return construction1(designs, L)
+    return _build("construction3", L, s, r, k=k, t=t)
+
+
+def design952_code(s: int, r: int, L: int | None = None) -> PpricCode:
+    """The (9,5,2)-complement family plus r/2 (2,1)-supersets (4 | s, even r).
+
+    Size 5 + 3r/2 on 9s/4 + r/2 * 3s/2 coordinates.  For r = 0 the family
+    stands alone: its multihit profile beats its type guarantee, which the
+    final verification confirms.
+    """
+    return _build("design952", L, s, r, u=r // 2)
+
+
+def design422_code(s: int, r: int, L: int | None = None) -> PpricCode:
+    """The all-pairs (4,2,2)-complement family plus r/2 (2,1)-supersets
+    (2 | s, even r >= 2).  Size 6 + 3r/2 on 2s + r/2 * 3s/2 coordinates."""
+    return _build("design422", L, s, r, u=r // 2)
 
 
 def doubling(design1: CoveringDesign, design2: CoveringDesign, L: int | None = None) -> PpricCode:
@@ -328,18 +253,13 @@ def doubling(design1: CoveringDesign, design2: CoveringDesign, L: int | None = N
     From verified (n1, n1-s, t1) and (n2, n2-s, t2) designs the union is an
     (n1+n2, s, t1+t2-1) code of size b1 + b2.
     """
-    s1, s2 = design1.n - design1.k, design2.n - design2.k
-    if s1 != s2:
-        raise ParameterError(f"complement weights differ: {s1} vs {s2}")
-    td1 = build_superset(design1, s1, offset=0)
-    td2 = build_superset(design2, s2, offset=design1.n)
-    base_len = design1.n + design2.n
-    if L is None:
-        L = base_len
-    code = construction1([td1, td2], L)
-    want_r = design1.t + design2.t - 1
-    if code.params.r != want_r:
-        raise ConstructionError(f"doubling r mismatch: {code.params.r} != {want_r}")
+    plan = doubling_params(design1.n, design1.k, design1.t, design1.size,
+                           design2.n, design2.k, design2.t, design2.size)
+    s = plan["s"]
+    families = [build_superset(design1, s), build_superset(design2, s, design1.n)]
+    code = construction1(families, plan["L"] if L is None else L)
+    if (code.params.r, code.size) != (plan["r"], plan["size"]):
+        raise ConstructionError(f"doubling missed its plan {plan}")
     return code
 
 
@@ -357,58 +277,192 @@ def doubling_params(n1: int, k1: int, t1: int, b1: int,
     return {"L": L, "s": s, "r": r, "size": b1 + b2}
 
 
-def design952_code(s: int, r: int, L: int | None = None) -> PpricCode:
-    """The (9,5,2)-complement family plus r/2 (2,1)-supersets (4 | s, even r).
+# ---------------------------------------------------------------------------
+# the recipe table
+# ---------------------------------------------------------------------------
 
-    Size 5 + 3r/2 on 9s/4 + r/2 * 3s/2 coordinates.  For r = 0 the family
-    stands alone: its multihit profile beats its type guarantee, which the
-    final verification confirms.
+def _bare(s: int, r: int) -> tuple[dict, ...]:
+    """The one plan of a family without parameters."""
+    return ({},)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One row of the recipe table.
+
+    ``plans(s, r)`` are the family's plans at s and r.  ``spec(L, s, r,
+    **plan)`` gives a plan's size and least length, or raises
+    ParameterError when the plan does not fit s and r.  ``make`` builds a
+    plan that both admit, verified, at length L.
     """
-    if r < 0 or r % 2:
-        raise ParameterError("design952_code needs even r >= 0")
-    if s % 4:
-        raise ParameterError("design952_code needs 4 | s")
-    td = build_superset(design_9_5_2(), s, offset=0)
-    base_len = td.ground
-    designs = [td]
-    for _ in range(r // 2):
-        d = build_superset(2, s, base_len)
-        designs.append(d)
-        base_len += d.ground
-    if L is None:
-        L = base_len
-    if L < base_len:
-        raise ParameterError(f"need L >= {base_len}")
-    if len(designs) >= 2:
-        return construction1(designs, L)
-    # r = 0: single family; construct directly and verify
-    params = SchemeParams(L, s, 0)
-    words = tuple(BinaryWord.from_support(L, b) for b in td.blocks)
-    return _verified(PpricCode(params, words))
+
+    rule: str
+    spec: Callable[..., tuple[int, int]]
+    make: Callable[..., PpricCode]
+    plans: Callable[[int, int], Iterable[dict]] = _bare
+
+    def fit(self, L: int | None, s: int, r: int,
+            plan: dict) -> tuple[int, int]:
+        """(size, length) of ``plan``; L None stands for the least length."""
+        size, least = self.spec(L, s, r, **plan)
+        if L is None:
+            return size, least
+        if L < least:
+            raise ParameterError(f"{self.rule} needs L >= {least}, got L={L}")
+        return size, L
 
 
-def design422_code(s: int, r: int, L: int | None = None) -> PpricCode:
-    """The all-pairs (4,2,2)-complement family plus r/2 (2,1)-supersets
-    (2 | s, even r >= 2).  Size 6 + 3r/2 on 2s + r/2 * 3s/2 coordinates."""
-    if r < 2 or r % 2:
-        raise ParameterError("design422_code needs even r >= 2")
-    if s % 2:
-        raise ParameterError("design422_code needs 2 | s")
-    td = build_superset(all_pairs_design(4), s, offset=0)
-    base_len = td.ground
-    designs = [td]
-    for _ in range(r // 2):
-        d = build_superset(2, s, base_len)
-        designs.append(d)
-        base_len += d.ground
-    if L is None:
-        L = base_len
-    return construction1(designs, L)
+def _full_code(L: int, s: int, r: int) -> PpricCode:
+    if binom(L, s) > 5000:
+        raise CapacityError("full code capped at C(L, s) <= 5000 codewords")
+    words = tuple(
+        BinaryWord.from_support(L, [c + 1 for c in supp])
+        for supp in itertools.combinations(range(L), s)
+    )
+    # admissibility alone guarantees this one
+    return PpricCode(SchemeParams(L, s, r), words)
 
 
-# ---------------------------------------------------------------------------
-# the recipe catalog
-# ---------------------------------------------------------------------------
+def _extremal_code(L: int, s: int, r: int) -> PpricCode:
+    half1 = (2 * s + r + 1) // 2
+    halves = (range(1, half1 + 1), range(half1 + 1, 2 * s + r + 2))
+    words = tuple(
+        BinaryWord.from_support(L, supp)
+        for half in halves for supp in itertools.combinations(half, s)
+    )
+    return _verified(PpricCode(SchemeParams(L, s, r), words))
+
+
+def _eps8_spec(L: int, s: int, r: int) -> tuple[int, int]:
+    if r or s < 8 or s % 8:
+        raise ParameterError("eps8 needs r = 0 and a positive multiple of 8")
+    return 6, 17 * s // 8
+
+
+# the six regions' ends in units of s/8, and the regions of each codeword
+_EPS8_ENDS = (0, 1, 6, 9, 11, 13, 17)
+_EPS8_WORDS = ((0, 1, 3), (0, 1, 4), (0, 2, 3, 4), (0, 2, 5), (1, 2), (3, 4, 5))
+
+
+def _eps8_code(L: int, s: int, r: int) -> PpricCode:
+    u = s // 8
+    regions = [range(a * u + 1, b * u + 1)
+               for a, b in zip(_EPS8_ENDS, _EPS8_ENDS[1:])]
+    words = tuple(
+        BinaryWord.from_support(L, [c for i in picks for c in regions[i]])
+        for picks in _EPS8_WORDS
+    )
+    return _verified(PpricCode(SchemeParams(L, s, r), words))
+
+
+def _chain_family(rule: str, layout, plans=_bare) -> Family:
+    """A family of superset families laid side by side, left to right.
+
+    ``layout(r, **plan)`` gives their bases (covering designs, or k for the
+    (k,1)-superset) and how many single blocks end the row.
+    """
+    def spec(L, s, r, **plan):
+        if s < 1:
+            raise ParameterError("block weight must be >= 1")
+        bases, singles = layout(r, **plan)
+        size, ground = singles, singles * s
+        for base in map(_base, bases):
+            size += base.size
+            ground += base.n * _grain(base, s)
+        return size, ground
+
+    def make(L, s, r, **plan):
+        bases, singles = layout(r, **plan)
+        designs = []
+        offset = 0
+        for base in bases:
+            designs.append(build_superset(base, s, offset))
+            offset += designs[-1].ground
+        for _ in range(singles):  # one weight-s block: a family of type 0
+            block = frozenset(range(offset + 1, offset + s + 1))
+            designs.append(TypedDesign(offset, s, 0, (block,)))
+            offset += s
+        if len(designs) > 1:
+            return construction1(designs, L)
+        # a seed family alone: no type theorem covers it, verification does
+        words = tuple(BinaryWord.from_support(L, b) for b in designs[0].blocks)
+        return _verified(PpricCode(SchemeParams(L, s, r), words))
+
+    return Family(rule, spec, make, plans)
+
+
+def _supersets(rule: str, odd: bool) -> Family:
+    """Constructions 2 (odd r) and 3 (even r): p = (r+3)//2 superset
+    families, t < p of them (k+1,1)- and the rest (k,1)-supersets; even r
+    adds one single block."""
+    def layout(r: int, k: int, t: int):
+        return [k + 1] * t + [k] * ((r + 3) // 2 - t), int(not odd)
+
+    def plans(s: int, r: int) -> list[dict]:
+        if r % 2 != odd:
+            return []
+        return [{"k": k, "t": t}
+                for k in range(1, s + 1) for t in range((r + 3) // 2)]
+
+    return _chain_family(rule, layout, plans)
+
+
+# seed designs of the design-seeded and doubling families, by label
+_SEEDS = {"9-5-2": design_9_5_2(), "4-2-2": all_pairs_design(4)}
+
+
+def _seeded(rule: str, seed: str, least_r: int) -> Family:
+    """The complement family of a seed design plus u (2,1)-supersets, for
+    r = 2u >= least_r; the grain of each base fixes what must divide s."""
+    def layout(r: int, u: int):
+        return [_SEEDS[seed]] + [2] * u, 0
+
+    def plans(s: int, r: int) -> list[dict]:
+        return [{"u": r // 2}] if r % 2 == 0 and r >= least_r else []
+
+    return _chain_family(rule, layout, plans)
+
+
+def _doubling_spec(L: int, s: int, r: int, seed: str) -> tuple[int, int]:
+    d = _SEEDS[seed]
+    plan = doubling_params(d.n, d.k, d.t, d.size, d.n, d.k, d.t, d.size)
+    if (s, r) != (plan["s"], plan["r"]):
+        raise ParameterError(
+            f"doubling the {seed} design gives s={plan['s']}, r={plan['r']}")
+    return plan["size"], plan["L"]
+
+
+RECIPES = {family.rule: family for family in (
+    Family("full", lambda L, s, r: (binom(L, s), 2 * s + r + 1), _full_code),
+    _chain_family("disjoint", lambda r: ([], r + 3)),
+    Family("extremal", lambda L, s, r: (extremal_size(s, r), 2 * s + r + 1),
+           _extremal_code),
+    Family("eps8", _eps8_spec, _eps8_code),
+    _supersets("construction2", odd=True),
+    _supersets("construction3", odd=False),
+    _seeded("design952", "9-5-2", 0),
+    # alone, the six all-pairs words are too few at L/s < 17/8 (lb.r0.special)
+    _seeded("design422", "4-2-2", 2),
+    Family("doubling", _doubling_spec,
+           lambda L, s, r, seed: doubling(_SEEDS[seed], _SEEDS[seed], L),
+           lambda s, r: [{"seed": seed} for seed in _SEEDS]),
+)}
+
+
+def _build(rule: str, L: int | None, s: int, r: int, **plan) -> PpricCode:
+    """Build ``plan`` of family ``rule`` at length L (None: the least)."""
+    family = RECIPES.get(rule)
+    if family is None:
+        raise ParameterError(f"unknown recipe rule {rule!r}")
+    if plan not in family.plans(s, r):
+        raise ParameterError(f"{rule} has no plan {plan} at s={s}, r={r}")
+    size, L = family.fit(L, s, r, plan)
+    code = family.make(L, s, r, **plan)
+    if code.size != size:
+        raise ConstructionError(
+            f"{rule} built {code.size} codewords, planned {size}")
+    return code
+
 
 @dataclass(frozen=True)
 class Recipe:
@@ -428,78 +482,20 @@ class Recipe:
 
 def build_recipe(recipe: Recipe, L: int, s: int, r: int) -> PpricCode:
     """Replay a catalog entry into an actual verified code."""
-    rule, p = recipe.rule, recipe.params
-    if rule == "disjoint":
-        return build_disjoint(L, s, r)
-    if rule == "full":
-        return build_full(L, s, r)
-    if rule == "extremal":
-        return build_extremal(s, r, L)
-    if rule == "eps8":
-        return build_eps8(s, L)
-    if rule == "construction2":
-        return construction2(L, s, r, p["k"], p["t"])
-    if rule == "construction3":
-        return construction3(L, s, r, p["k"], p["t"])
-    if rule == "design952":
-        code = design952_code(s, r)
-    elif rule == "design422":
-        code = design422_code(s, r)
-    elif rule == "doubling":
-        d = design_9_5_2() if p["seed"] == "9-5-2" else all_pairs_design(4)
-        code = doubling(d, d)
-    else:
-        raise ParameterError(f"unknown recipe rule {rule!r}")
-    return pad_coordinate(code, L - code.params.L) if L > code.params.L else code
+    return _build(recipe.rule, L, s, r, **recipe.params)
 
 
 def available_recipes(L: int, s: int, r: int) -> list[Recipe]:
     """Every catalog construction feasible at (L, s, r), sorted by size."""
     if s < 1 or r < 0 or L < 2 * s + r + 1:
         raise ParameterError("admissible parameters with s >= 1 required")
-    rho = Fraction(L, s)
-    out: list[Recipe] = [Recipe("full", binom(L, s))]
-    if L >= max(2 * s + r + 1, (r + 3) * s):
-        out.append(Recipe("disjoint", r + 3))
-    if s > r:
-        out.append(Recipe("extremal", extremal_size(s, r)))
-    if r == 0 and s % 8 == 0 and 8 * L >= 17 * s:
-        out.append(Recipe("eps8", 6))
-    if r % 2 == 1:
-        for k in range(1, s + 1):
-            for t in range(0, (r + 1) // 2 + 1):
-                plain = (r + 3) // 2 - t
-                if plain > 0 and s % k:
-                    continue
-                if t > 0 and s % (k + 1):
-                    continue
-                need = Fraction((r + 3) * (k + 1), 2 * k) - Fraction(t, k * (k + 1))
-                if rho >= need:
-                    out.append(
-                        Recipe("construction2", (r + 3) * (k + 1) // 2 + t,
-                               {"k": k, "t": t})
-                    )
-    else:
-        for k in range(1, s + 1):
-            for t in range(0, r // 2 + 1):
-                plain = (r + 2) // 2 - t
-                if plain > 0 and s % k:
-                    continue
-                if t > 0 and s % (k + 1):
-                    continue
-                need = Fraction((r + 2) * (k + 1), 2 * k) - Fraction(t, k * (k + 1)) + 1
-                if rho >= need:
-                    out.append(
-                        Recipe("construction3", (r + 2) * (k + 1) // 2 + t + 1,
-                               {"k": k, "t": t})
-                    )
-        if s % 4 == 0 and 4 * L >= 9 * s + r * 3 * s:
-            out.append(Recipe("design952", 5 + 3 * r // 2, {"u": r // 2}))
-        if r >= 2 and s % 2 == 0 and 4 * L >= 8 * s + r * 3 * s:
-            out.append(Recipe("design422", 6 + 3 * r // 2, {"u": r // 2}))
-    if s == 4 and r == 3 and L >= 18:
-        out.append(Recipe("doubling", 10, {"seed": "9-5-2"}))
-    if s == 2 and r == 3 and L >= 8:
-        out.append(Recipe("doubling", 12, {"seed": "4-2-2"}))
+    out: list[Recipe] = []
+    for family in RECIPES.values():
+        for plan in family.plans(s, r):
+            try:
+                size, _ = family.fit(L, s, r, plan)
+            except ParameterError:
+                continue
+            out.append(Recipe(family.rule, size, plan))
     out.sort(key=lambda rec: (rec.size, rec.rule_label()))
     return out

@@ -193,20 +193,26 @@ class Cover:
         """Fan out over the root element's handler branches.
 
         The winner is the earliest branch in serial order that succeeds,
-        so the result matches a single-process run.  A branch that blows
+        so the result matches a single-process run.  So does the node
+        count: the pinned root plus the branches up to the winner, never
+        a later branch that happened to finish first.  A branch that blows
         its node budget only matters if every earlier branch failed; then
         the serial run would have blown up too and the same CapacityError
         is raised.
         """
         root = self.full & ~self.cover[0]
+        budget.nodes += 1  # the pinned root
+        if any((root >> off & seg).bit_count() > (m - 1) * cap
+               for off, seg, cap in self.segments):
+            return None  # the segment prune of _branch kills the root
         handlers = self.pick_handlers(root, self.full_pool & ~1)
         order = []
         while handlers:
             low = handlers & -handlers
             handlers ^= low
             order.append(low.bit_length() - 1)
-        exhausted = object()
-        results: dict[int, object] = {}
+        results: dict[int, tuple] = {}
+        settled = 0
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(self,)) as pool:
             futures = {}
@@ -219,20 +225,19 @@ class Cover:
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for fut in done:
-                    hit, nodes, over = fut.result()
+                    results[futures[fut]] = fut.result()
+                # settle the finished branches in serial order
+                while settled in results:
+                    hit, nodes, over = results.pop(settled)
+                    settled += 1
                     budget.nodes += nodes
-                    results[futures[fut]] = exhausted if over else hit
-                for k in range(len(order)):
-                    if k not in results:
-                        break
-                    got = results[k]
-                    if got is exhausted:
+                    if over:
                         raise CapacityError(
                             f"search node budget {budget.limit} exceeded")
-                    if got is not None:
+                    if hit is not None:
                         for fut in pending:
                             fut.cancel()
-                        return got
+                        return hit
         return None
 
 

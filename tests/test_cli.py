@@ -105,6 +105,21 @@ def test_construct_list_and_filter(capsys):
     assert rc2 == 0 and doc["size"] == sizes[0]
 
 
+def test_construct_k_and_t_filter_without_rule(capsys):
+    # --k and --t each narrow the catalog, with or without --rule
+    rc, doc = jrun(capsys, "construct", "--L", "12", "--s", "4", "--r", "1",
+                   "--k", "4")
+    assert rc == 0 and doc["rule"] == "ub.construction2[k=4,t=0]"
+    rc, recipes = jrun(capsys, "construct", "--L", "12", "--s", "4", "--r",
+                       "1", "--t", "0", "--list")
+    assert rc == 0 and recipes
+    assert all(rec["rule"].endswith(",t=0]") for rec in recipes)
+    rc, out, err = run(capsys, "construct", "--L", "12", "--s", "4", "--r",
+                       "1", "--k", "3")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: parameter:") and "None" not in err
+
+
 def test_construct_unknown_rule(capsys):
     rc, out, err = run(capsys, "construct", "--L", "12", "--s", "4", "--r", "1",
                        "--rule", "nonsense")

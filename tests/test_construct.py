@@ -133,3 +133,49 @@ def test_catalog_rejects_inadmissible():
         available_recipes(5, 2, 1)
     with pytest.raises(ParameterError):
         build_recipe(Recipe("nonsense", 3), 6, 2, 0)
+
+
+def _candidate_plans(s, r):
+    """Every plan the catalog may list at (s, r), and more that it must not:
+    k up to s+1 and t up to (r+3)//2 for the superset constructions."""
+    for rule in ("full", "disjoint", "extremal", "eps8"):
+        yield rule, {}
+    for rule in ("construction2", "construction3"):
+        for k in range(1, s + 2):
+            for t in range((r + 3) // 2 + 1):
+                yield rule, {"k": k, "t": t}
+    for rule in ("design952", "design422"):
+        yield rule, {"u": r // 2}
+    for seed in ("9-5-2", "4-2-2"):
+        yield "doubling", {"seed": seed}
+
+
+AGREEMENT_GRID = [
+    (L, s, r) for s in range(1, 5) for r in range(0, 4)
+    for L in range(2 * s + r + 1, 19)
+] + [(17, 8, 0), (18, 8, 1), (19, 8, 2)]
+
+
+def test_catalog_lists_exactly_the_plans_that_build():
+    # the catalog and the builders read one spec per family: a listed plan
+    # builds to its advertised size, an omitted one is refused
+    seen = set()
+    for L, s, r in AGREEMENT_GRID:
+        listed = {(rec.rule, tuple(sorted(rec.params.items()))): rec.size
+                  for rec in available_recipes(L, s, r)}
+        tried = set()
+        for rule, plan in _candidate_plans(s, r):
+            key = (rule, tuple(sorted(plan.items())))
+            tried.add(key)
+            recipe = Recipe(rule, listed.get(key, 0), plan)
+            if key not in listed:
+                with pytest.raises(ParameterError):
+                    build_recipe(recipe, L, s, r)
+            elif rule != "full" or recipe.size <= 300:
+                # full is listed everywhere, but built only up to a cap
+                code = build_recipe(recipe, L, s, r)
+                assert code.size == recipe.size, (L, s, r, key)
+                assert code.params == SchemeParams(L, s, r), (L, s, r, key)
+        assert set(listed) <= tried, (L, s, r)
+        seen.update(rule for rule, _ in listed)
+    assert len(seen) == 9  # every family is listed somewhere on the grid

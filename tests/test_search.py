@@ -90,6 +90,8 @@ def test_jobs_fanout_matches_serial():
     fanned = exact_n_search(9, 4, 0, jobs=4)
     assert serial.n_exact == fanned.n_exact == 5
     assert serial.witness == fanned.witness
+    # the pinned root plus the branches up to the winner, as serially
+    assert serial.nodes_explored == fanned.nodes_explored
 
 
 def test_size_cap():
