@@ -19,6 +19,7 @@ Rule names are stable strings (they appear in the JSON reports):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,6 +47,19 @@ def lb_repeat(L: int, s: int, r: int) -> int:
     return best
 
 
+@functools.cache
+def _covering_probe(n: int, k: int, t: int) -> int | None:
+    """c(n, k, t) within a 50k-node budget, None when the budget runs out.
+
+    A bound is optional, a stall is not.  The search is deterministic, so
+    every answer, a miss included, is kept for the life of the process.
+    """
+    try:
+        return covering.exact_covering_number(n, k, t, node_budget=50_000)
+    except CapacityError:
+        return None
+
+
 def lb_covering_chain(L: int, s: int, r: int, with_rules: bool = False):
     """Covering-number route: complement supports form an (L, L-s, r+2)
     covering design, so N is at least c(L, L-s, r+2) and any lower bound on
@@ -67,11 +81,8 @@ def lb_covering_chain(L: int, s: int, r: int, with_rules: bool = False):
                 break
             if n2 > covering.EXACT_N_CAP or binom(n2, k2) > (1 << 16):
                 continue
-            try:
-                # probe budget: a bound is optional, a stall is not
-                base = covering.exact_covering_number(n2, k2, t2,
-                                                      node_budget=50_000)
-            except CapacityError:
+            base = _covering_probe(n2, k2, t2)
+            if base is None:
                 continue
             value = base
             for i in range(ell - 1, -1, -1):

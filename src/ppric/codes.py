@@ -13,7 +13,8 @@ which turns verification into a family of hitting problems: with
     h(gamma) = min { |P| : |P & supp(c)| >= gamma for every codeword c }
 
 a violator of weight w in {r+1..L} exists iff h(ceil((w-r)/2)) <= w.
-verify_exact solves h by branch and bound; verify_enumeration re-derives
+verify_exact solves h by branch and bound, one connected component of
+the code at a time and within a node budget; verify_enumeration re-derives
 the verdict from scratch with characteristic vectors over all 2^L words so
 the two routes stay independent checks of one another.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .cover import Budget
 from .errors import CapacityError, FormatError, ParameterError
 from .jsondoc import JsonDoc
 from .words import (
@@ -116,6 +118,14 @@ class Verdict:
 # h(gamma): exact minimum multihit weight by branch and bound
 # ---------------------------------------------------------------------------
 
+# branch-and-bound nodes one multihit question may use, over all its
+# components and gammas.  Every non-full catalog recipe at L in {24, 32,
+# 40, 64}, s <= 16, r <= 5 verifies in at most 4,958 (eps8 at s = 16), a
+# 90-word code left in one piece (build_extremal(8, 2) unsplit) in about
+# 50,000, at some 40,000 nodes/s
+MULTIHIT_NODE_BUDGET = 100_000
+
+
 def _greedy_multihit(masks: list[int], L: int, gamma: int) -> int:
     """Feasible multihit set found greedily; used as the initial upper bound.
 
@@ -142,7 +152,8 @@ def _greedy_multihit(masks: list[int], L: int, gamma: int) -> int:
                 hits[i] += 1
 
 
-def _min_multihit_set(masks: list[int], L: int, gamma: int) -> tuple[int, int] | None:
+def _min_multihit_set(masks: list[int], L: int, gamma: int,
+                      budget: Budget) -> tuple[int, int] | None:
     """(h(gamma), witness mask), or None when gamma exceeds the weight s.
 
     Branch and bound over coordinate classes: coordinates with the same
@@ -151,7 +162,8 @@ def _min_multihit_set(masks: list[int], L: int, gamma: int) -> tuple[int, int] |
     with the largest remaining deficit, over the classes meeting it (a
     class passed over is frozen for the whole subtree).  Lower bounds:
     the largest single deficit, and the total deficit divided by the best
-    per-coordinate yield among usable classes.
+    per-coordinate yield among usable classes.  Every node of the search
+    counts against ``budget``.
     """
     if gamma <= 0:
         return (0, 0)
@@ -180,6 +192,10 @@ def _min_multihit_set(masks: list[int], L: int, gamma: int) -> tuple[int, int] |
 
     def rec(size: int, frozen: int):
         nonlocal best_size, best_take
+        budget.nodes += 1
+        if budget.nodes > budget.limit:
+            raise CapacityError(
+                f"multihit node budget {budget.limit} exceeded")
         worst_def = total_def = defmask = 0
         worst_i = -1
         for i in range(len(masks)):
@@ -244,6 +260,70 @@ def _min_multihit_set(masks: list[int], L: int, gamma: int) -> tuple[int, int] |
     return (best_size, best_set)
 
 
+def _components(masks: list[int]) -> list[tuple[list[int], tuple[int, ...]]]:
+    """Connected components of the graph linking each codeword to the
+    coordinates of its support, in the order of their first codewords.
+
+    Each is (its coordinates ascending, its codewords' masks in code order
+    compacted onto those coordinates).  A coordinate in no support is in
+    no component.
+    """
+    parts: list[tuple[int, list[int]]] = []  # (coordinate mask, codewords)
+    for i, m in enumerate(masks):
+        # the parts are pairwise disjoint, so m joins exactly those it meets
+        span, members, apart = m, [i], []
+        for part in parts:
+            if part[0] & m:
+                span |= part[0]
+                members += part[1]
+            else:
+                apart.append(part)
+        parts = apart + [(span, sorted(members))]
+    out = []
+    for span, members in sorted(parts, key=lambda part: part[1][0]):
+        coords = [c for c in range(span.bit_length()) if span >> c & 1]
+        local = tuple(sum(1 << j for j, c in enumerate(coords)
+                          if masks[i] >> c & 1) for i in members)
+        out.append((coords, local))
+    return out
+
+
+def min_multihit_sets(masks: list[int], gammas,
+                      node_budget: int | None = None
+                      ) -> dict[int, tuple[int, int] | None]:
+    """gamma -> (h(gamma), witness mask) of the support family ``masks``,
+    or None where some support is lighter than gamma.
+
+    The problem splits over the connected components of the family
+    (``_components``): h(gamma) is the sum of the components' values and
+    the witness the union of their witnesses.  Components with equal
+    compacted masks, such as the repeated blocks of a disjoint union, are
+    solved once.  All of it shares one budget of ``node_budget`` nodes
+    (default MULTIHIT_NODE_BUDGET); beyond it CapacityError is raised.
+    """
+    budget = Budget(MULTIHIT_NODE_BUDGET if node_budget is None
+                    else node_budget)
+    parts = _components(masks)
+    solved: dict[tuple[tuple[int, ...], int], tuple[int, int] | None] = {}
+    out: dict[int, tuple[int, int] | None] = {}
+    for gamma in gammas:
+        h = witness = 0
+        for coords, local in parts:
+            if (local, gamma) not in solved:
+                solved[local, gamma] = _min_multihit_set(
+                    list(local), len(coords), gamma, budget)
+            res = solved[local, gamma]
+            if res is None:
+                out[gamma] = None
+                break
+            h += res[0]
+            witness |= sum(1 << c for j, c in enumerate(coords)
+                           if res[1] >> j & 1)
+        else:
+            out[gamma] = (h, witness)
+    return out
+
+
 def min_multihit_weight(code: PpricCode, gamma: int) -> int | None:
     """h(gamma) for the code's support family; None means infeasible
     (gamma > s, no set can meet a weight-s support that often)."""
@@ -251,7 +331,7 @@ def min_multihit_weight(code: PpricCode, gamma: int) -> int | None:
         raise ParameterError("gamma must be >= 1")
     if gamma > code.params.s:
         return None
-    res = _min_multihit_set(code.masks(), code.params.L, gamma)
+    res = min_multihit_sets(code.masks(), [gamma])[gamma]
     return None if res is None else res[0]
 
 
@@ -264,22 +344,20 @@ def _gamma_range(L: int, s: int, r: int) -> range:
     return range(1, min(s, (L - r + 1) // 2) + 1)
 
 
-def verify_exact(code: PpricCode) -> Verdict:
+def verify_exact(code: PpricCode, node_budget: int | None = None) -> Verdict:
     """Verdict from the hitting-problem criterion (no 2^L scan).
 
     A violator of weight w exists iff h(ceil((w-r)/2)) <= w, so it is
     enough to check, for each gamma, whether h(gamma) <= min(r+2*gamma, L).
     The reported violator has minimum violating weight: the minimum
-    multihit set padded with the lowest-index unused coordinates.
+    multihit set padded with the lowest-index unused coordinates.  The
+    h values come from ``min_multihit_sets``, within ``node_budget``.
     """
     L, s, r = code.params.L, code.params.s, code.params.r
-    masks = code.masks()
+    hits = min_multihit_sets(code.masks(), _gamma_range(L, s, r), node_budget)
     profile: dict[int, int] = {}
     violator = None
-    for gamma in _gamma_range(L, s, r):
-        res = _min_multihit_set(masks, L, gamma)
-        assert res is not None  # gamma <= s here
-        h, hit_set = res
+    for gamma, (h, hit_set) in hits.items():  # gamma <= s, so never None
         profile[gamma] = h
         if violator is None and h <= min(r + 2 * gamma, L):
             w = max(h, r + 2 * gamma - 1)

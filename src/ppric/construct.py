@@ -24,7 +24,7 @@ import itertools
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
-from .codes import PpricCode, verify_exact, _min_multihit_set
+from .codes import PpricCode, min_multihit_sets, verify_exact
 from .covering import (
     CoveringDesign,
     all_pairs_design,
@@ -84,11 +84,9 @@ class TypedDesign:
         s = self.block_size
         lo = self.offset
         masks = [sum(1 << (p - 1 - lo) for p in b) for b in self.blocks]
-        for t in range(1, s + 1):
-            res = _min_multihit_set(masks, self.ground, t)
-            if res is None or res[0] < self.type_level + t:
-                return False
-        return True
+        hits = min_multihit_sets(masks, range(1, s + 1))
+        return all(res is not None and res[0] >= self.type_level + t
+                   for t, res in hits.items())
 
 
 # the (n, 1, 1) designs behind the (k,1)-supersets, built once each

@@ -22,8 +22,6 @@ its elements any one candidate covers.
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
 from .errors import CapacityError, ParameterError
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -200,6 +198,11 @@ class Cover:
         the serial run would have blown up too and the same CapacityError
         is raised.
         """
+        # imported here: the process pool drags in multiprocessing, pickle,
+        # socket and subprocess, which no serial run needs
+        from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
+                                        wait)
+
         root = self.full & ~self.cover[0]
         budget.nodes += 1  # the pinned root
         if any((root >> off & seg).bit_count() > (m - 1) * cap

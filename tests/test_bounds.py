@@ -5,6 +5,14 @@ from ppric import bounds, covering
 from ppric.errors import CapacityError, ParameterError
 
 
+@pytest.fixture(autouse=True)
+def cold_probe_cache():
+    # the chain's covering probes are kept for the life of the process;
+    # start every test here without them, so that a test watching the
+    # probes sees each one
+    bounds._covering_probe.cache_clear()
+
+
 def test_lb_repeat():
     # one coordinate can only be avoided so often
     assert bounds.lb_repeat(5, 2, 0) >= 2
@@ -179,3 +187,21 @@ def test_chain_probe_misses_pinned(monkeypatch):
     assert sorted(key for key, value in seen.items() if value is None) == [
         (9, 6, 3), (9, 6, 4), (10, 6, 3), (10, 7, 3), (10, 7, 4), (10, 7, 5),
     ]
+
+
+def test_chain_probes_are_paid_once(monkeypatch):
+    real = covering.exact_covering_number
+    calls = []
+
+    def probe(n, k, t, node_budget):
+        calls.append((n, k, t))
+        return real(n, k, t, node_budget=node_budget)
+
+    monkeypatch.setattr(covering, "exact_covering_number", probe)
+    # (11, 3, 2) probes c(10, 7, 3), one of the deterministic misses
+    first = bounds.compute_report(11, 3, 2)
+    assert (10, 7, 3) in calls
+    del calls[:]
+    again = bounds.compute_report(11, 3, 2)
+    assert calls == []
+    assert again.to_json_dict() == first.to_json_dict()

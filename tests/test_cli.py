@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ppric
+from ppric import codes
 from ppric.cli import main
 from ppric.codes import make_code
 from ppric.construct import build_disjoint
@@ -62,6 +68,28 @@ def test_verify_failing_code(capsys, bad_code_file):
     doc = json.loads(out)
     assert doc["is_ppric"] is False
     assert doc["violator"] == "10000"
+
+
+def test_verify_capacity_exit(capsys, monkeypatch, code_file):
+    # no code in the catalog comes near the verifier's node budget, so
+    # shrink it to one node
+    monkeypatch.setattr(codes, "MULTIHIT_NODE_BUDGET", 1)
+    rc, out, err = run(capsys, "verify", "--code", code_file)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: capacity:")
+    assert err.count("\n") == 1
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only search --jobs > 1 needs concurrent.futures and multiprocessing
+    env = {**os.environ, "PYTHONPATH": str(Path(ppric.__file__).parents[1])}
+    probe = ("import ppric, ppric.cli, sys; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_verify_unreadable_file(capsys, tmp_path):

@@ -29,6 +29,16 @@ FILES = {
     "bad.json": '{"L": 5, "codewords": ["11000", "10100", "10010", "10001"],'
                 ' "r": 0, "s": 2}\n',
     "db.txt": "110000\n000011\n101010\n000000\n111000\n010100\n",
+    # three components on interleaved coordinates, two coordinates unused
+    "split.json": '{"L": 14, "codewords": ["10101000000000", "00101010000000",'
+                  ' "01010100000000", "00000101010000", "00000000001110"],'
+                  ' "r": 3, "s": 3}\n',
+    # build_extremal(3, 1): all 3-subsets of each half of 8 coordinates
+    "extremal.json": '{"L": 8, "codewords": ["11100000", "11010000",'
+                     ' "10110000", "01110000", "00001110", "00001101",'
+                     ' "00001011", "00000111"], "r": 1, "s": 3}\n',
+    "db8.txt": "11000000\n00000011\n10101010\n00000000\n11100000\n"
+               "01010100\n11110000\n10000001\n",
 }
 
 CASES = [
@@ -77,12 +87,17 @@ CASES = [
      "construction2", "--k", "2"],
     ["construct", "--L", "12", "--s", "3", "--r", "2", "--rule",
      "construction3", "--k", "3"],
+    ["construct", "--L", "30", "--s", "8", "--r", "3", "--rule",
+     "construction2", "--k", "8"],
     ["verify", "--code", "{dir}/code.json"],
     ["verify", "--code", "{dir}/bad.json"],
+    ["verify", "--code", "{dir}/split.json"],
     ["exact-n", "--L", "9", "--s", "3", "--r", "1"],
     ["exact-n", "--L", "10", "--s", "3", "--r", "1"],
     ["simulate", "--db", "{dir}/db.txt", "--code", "{dir}/code.json",
      "--x", "110000", "--seed", "7"],
+    ["simulate", "--db", "{dir}/db8.txt", "--code", "{dir}/extremal.json",
+     "--x", "11000000", "--seed", "7"],
 ]
 
 

@@ -5,8 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ppric import codes
 from ppric.codes import (
     PpricCode,
+    _components,
+    _enumeration_profile,
+    _min_multihit_set,
     full_sphere_identity_holds,
     make_code,
     min_multihit_weight,
@@ -16,6 +20,8 @@ from ppric.codes import (
     verify_enumeration,
     verify_exact,
 )
+from ppric.construct import build_extremal
+from ppric.cover import Budget
 from ppric.errors import CapacityError, FormatError, ParameterError
 from ppric.words import BinaryWord, SchemeParams, enumerate_ball
 
@@ -165,3 +171,99 @@ def test_enumeration_violator_is_minimum_weight():
             continue
         if all((cand.mask ^ c.mask).bit_count() <= r + s for c in code.codewords):
             pytest.fail(f"lighter violator {cand.to_string()}")
+
+
+def _random_union(rng: random.Random, L: int):
+    """A disjoint union of random blocks on shuffled coordinates: each block
+    is 1..4 distinct s-subsets of its own s..s+3 coordinates, and the
+    coordinates left over stay unused."""
+    s = rng.randint(1, (L - 1) // 4)
+    r = rng.randint(0, L - 2 * s - 1)
+    coords = rng.sample(range(1, L + 1), L)
+    supports = []
+    while True:
+        width = rng.randint(s, s + 3)
+        if width > len(coords):
+            break
+        block, coords = coords[:width], coords[width:]
+        for _ in range(rng.randint(1, 4)):
+            supp = set(rng.sample(block, s))
+            if supp not in supports:
+                supports.append(supp)
+    return make_code(L, s, r, supports)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_matches_enumeration_on_random_unions(seed):
+    rng = random.Random(seed)
+    lengths = [rng.randint(6, 14) for _ in range(20)] + [16 + seed]
+    for L in lengths:
+        code = _random_union(rng, L)
+        L, s, r = code.params.L, code.params.s, code.params.r
+        exact, enum = verify_exact(code), verify_enumeration(code)
+        assert exact.is_ppric == enum.is_ppric
+        # the enumeration verdict carries _enumeration_profile(code)
+        assert exact.gamma_profile == enum.gamma_profile
+        if exact.violator is None:
+            continue
+        bad = exact.violator
+        # a true violator: outside B(0, r), inside every B(c, r+s) ...
+        assert bad.weight > r
+        assert all((bad.mask ^ m).bit_count() <= r + s for m in code.masks())
+        # ... and of minimum weight
+        assert bad.weight == enum.violator.weight
+
+
+def test_components_single():
+    # a chain of supports is one component over all its coordinates
+    assert _components([0b0011, 0b0110, 0b1100]) == [
+        ([0, 1, 2, 3], (0b0011, 0b0110, 0b1100)),
+    ]
+
+
+def test_components_skip_unused_coordinates():
+    # coordinates 0, 2 and 5 lie in no support; the two components
+    # interleave and keep the order of their first codewords
+    parts = _components([0b0010010, 0b1001000, 0b0010000])
+    assert parts == [
+        ([1, 4], (0b11, 0b10)),
+        ([3, 6], (0b11,)),
+    ]
+
+
+def test_identical_blocks_share_one_memo_entry(monkeypatch):
+    code = make_code(8, 2, 1, [{1, 2}, {2, 3}, {5, 6}, {6, 7}])
+    assert [local for _, local in _components(code.masks())] == [
+        (0b011, 0b110), (0b011, 0b110),
+    ]
+    calls = []
+
+    def counted(masks, L, gamma, budget):
+        calls.append(gamma)
+        return _min_multihit_set(masks, L, gamma, budget)
+
+    monkeypatch.setattr(codes, "_min_multihit_set", counted)
+    verdict = verify_exact(code)
+    # one solve per gamma, not one per block
+    assert calls == [1, 2]
+    assert verdict.gamma_profile == _enumeration_profile(code)
+
+
+def test_multihit_node_budget():
+    code = build_extremal(3, 1)
+    with pytest.raises(CapacityError, match="node budget"):
+        verify_exact(code, node_budget=1)
+    assert verify_exact(code).is_ppric
+
+
+def test_split_keeps_extremal_verification_small():
+    # the two halves of build_extremal(10, 2) are its components; split,
+    # they need 190 nodes, while one search over all 77 codewords needs
+    # 728,967 (21 s)
+    code = build_extremal(10, 2)
+    assert verify_exact(code, node_budget=1_000).is_ppric
+    L = code.params.L
+    budget = Budget(1_000)
+    with pytest.raises(CapacityError):
+        for gamma in range(1, 11):
+            _min_multihit_set(code.masks(), L, gamma, budget)
