@@ -156,7 +156,6 @@ def cmd_search(args) -> int:
         args.r,
         size_cap=args.size_cap,
         node_budget=args.node_budget,
-        jobs=args.jobs,
     )
     _emit(result.to_json_dict(), args.pretty)
     return 0
@@ -200,7 +199,6 @@ def cmd_sweep(args) -> int:
                             L, s, r,
                             size_cap=up,
                             node_budget=args.node_budget,
-                            jobs=args.jobs,
                         ).n_exact
                     except CapacityError as exc:
                         notes.append(f"search capacity: {exc}")
@@ -362,8 +360,6 @@ def build_parser() -> _Parser:
     p.add_argument("--size-cap", type=int, dest="size_cap")
     p.add_argument("--node-budget", type=int, dest="node_budget",
                    default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="fan the root branches over this many processes")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sweep", parents=[common],
@@ -378,7 +374,6 @@ def build_parser() -> _Parser:
                    help="skip the search column")
     p.add_argument("--node-budget", type=int, dest="node_budget",
                    default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", parents=[common],

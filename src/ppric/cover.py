@@ -142,35 +142,17 @@ class Cover:
                     return hit
         return None
 
-    def at_size(self, m: int, budget: Budget, branch: int | None = None,
-                banned: int = 0) -> tuple[int, ...] | None:
-        """First size-m cover containing candidate 0, in branch order.
-
-        ``branch``/``banned`` preseed one root-level branch: the second
-        chosen candidate and the sibling handlers already excluded.
-        """
-        if branch is None:
-            # the root node is the pinned pick of candidate 0
-            return self._branch([], self.full, self.full_pool, 1, m,
-                                budget, None)
-        return self._branch([0], self.full & ~self.cover[0],
-                            self.full_pool & ~1 & ~banned, 1 << branch,
-                            m - 1, budget, None)
-
-    def solve(self, lower: int, upper: int, budget: Budget,
-              jobs: int = 1) -> tuple[int, ...] | None:
+    def solve(self, lower: int, upper: int,
+              budget: Budget) -> tuple[int, ...] | None:
         """Smallest cover containing candidate 0 with size in lower..upper.
 
-        ``lower`` must be a true lower bound on the minimum.  With
-        ``jobs`` > 1 each size from 3 up fans its root branches out over
-        that many processes, and the node budget applies to each root
-        branch separately; the cover found is the serial one.
+        ``lower`` must be a true lower bound on the minimum.  The cover
+        found is the first one of its size in branch order.
         """
         for m in range(lower, min(upper, len(self.cover)) + 1):
-            if jobs > 1 and m >= 3:
-                hit = self._parallel_size(m, budget, jobs)
-            else:
-                hit = self.at_size(m, budget)
+            # the root node is the pinned pick of candidate 0
+            hit = self._branch([], self.full, self.full_pool, 1, m, budget,
+                               None)
             if hit is not None:
                 return hit
         return None
@@ -185,79 +167,3 @@ class Cover:
         if m <= len(self.cover):
             self._branch([], self.full, self.full_pool, 1, m, budget, found)
         return found
-
-    def _parallel_size(self, m: int, budget: Budget,
-                       jobs: int) -> tuple[int, ...] | None:
-        """Fan out over the root element's handler branches.
-
-        The winner is the earliest branch in serial order that succeeds,
-        so the result matches a single-process run.  So does the node
-        count: the pinned root plus the branches up to the winner, never
-        a later branch that happened to finish first.  A branch that blows
-        its node budget only matters if every earlier branch failed; then
-        the serial run would have blown up too and the same CapacityError
-        is raised.
-        """
-        # imported here: the process pool drags in multiprocessing, pickle,
-        # socket and subprocess, which no serial run needs
-        from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
-                                        wait)
-
-        root = self.full & ~self.cover[0]
-        budget.nodes += 1  # the pinned root
-        if any((root >> off & seg).bit_count() > (m - 1) * cap
-               for off, seg, cap in self.segments):
-            return None  # the segment prune of _branch kills the root
-        handlers = self.pick_handlers(root, self.full_pool & ~1)
-        order = []
-        while handlers:
-            low = handlers & -handlers
-            handlers ^= low
-            order.append(low.bit_length() - 1)
-        results: dict[int, tuple] = {}
-        settled = 0
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=(self,)) as pool:
-            futures = {}
-            banned = 0
-            for k, h in enumerate(order):
-                futures[pool.submit(_branch_worker,
-                                    (m, h, banned, budget.limit))] = k
-                banned |= 1 << h
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    results[futures[fut]] = fut.result()
-                # settle the finished branches in serial order
-                while settled in results:
-                    hit, nodes, over = results.pop(settled)
-                    settled += 1
-                    budget.nodes += nodes
-                    if over:
-                        raise CapacityError(
-                            f"search node budget {budget.limit} exceeded")
-                    if hit is not None:
-                        for fut in pending:
-                            fut.cancel()
-                        return hit
-        return None
-
-
-_WORKER_COVER: Cover | None = None
-
-
-def _init_worker(instance: Cover):
-    # one instance per worker process, shared across its branch tasks
-    global _WORKER_COVER
-    _WORKER_COVER = instance
-
-
-def _branch_worker(args) -> tuple[tuple[int, ...] | None, int, bool]:
-    m, branch, banned, budget_limit = args
-    budget = Budget(budget_limit)
-    try:
-        hit = _WORKER_COVER.at_size(m, budget, branch=branch, banned=banned)
-    except CapacityError:
-        return None, budget.nodes, True
-    return hit, budget.nodes, False

@@ -232,6 +232,15 @@ def _johnson_queries(x: JohnsonWord, code: JohnsonPpricCode, rng: SplitMix64):
     return {"inside": inside, "outside": outside}, queries
 
 
+def _queries(x, code, rng: SplitMix64):
+    """The permutation drawn and one query per codeword, in x's scheme."""
+    if isinstance(x, BinaryWord):
+        return _binary_queries(x, code, rng)
+    if isinstance(x, QaryWord):
+        return _qary_queries(x, code, rng)
+    return _johnson_queries(x, code, rng)
+
+
 def _check_code(x, code, allow_unverified: bool):
     if isinstance(x, (BinaryWord, QaryWord)):
         _require_binary_code(x, code)
@@ -271,12 +280,7 @@ def generate_queries(x, code, seed: int,
     can be demonstrated end to end).
     """
     _check_code(x, code, allow_unverified)
-    rng = SplitMix64(seed)
-    if isinstance(x, BinaryWord):
-        return _binary_queries(x, code, rng)[1]
-    if isinstance(x, QaryWord):
-        return _qary_queries(x, code, rng)[1]
-    return _johnson_queries(x, code, rng)[1]
+    return _queries(x, code, SplitMix64(seed))[1]
 
 
 def server_answer(db: Database, query: Query) -> set[int]:
@@ -314,25 +318,13 @@ def run_simulation(db: Database, x, r: int, code, seed: int,
     """
     _check_code(x, code, allow_unverified)
     rng = SplitMix64(seed)
+    code_r = code.r if isinstance(x, JohnsonWord) else code.params.r
+    if r != code_r:
+        raise ParameterError(f"requested radius {r} != code radius {code_r}")
+    perm, queries = _queries(x, code, rng)
+    privacy = None
     if isinstance(x, BinaryWord):
-        if r != code.params.r:
-            raise ParameterError(
-                f"requested radius {r} != code radius {code.params.r}"
-            )
-        perm, queries = _binary_queries(x, code, rng)
         privacy = privacy_level(code.params.L, code.params.s)
-    elif isinstance(x, QaryWord):
-        if r != code.params.r:
-            raise ParameterError(
-                f"requested radius {r} != code radius {code.params.r}"
-            )
-        perm, queries = _qary_queries(x, code, rng)
-        privacy = None
-    else:
-        if r != code.r:
-            raise ParameterError(f"requested radius {r} != code radius {code.r}")
-        perm, queries = _johnson_queries(x, code, rng)
-        privacy = None
     for rec in db.records:
         # fail fast on dimension mismatches before any server runs
         distance(x, rec)

@@ -23,6 +23,7 @@ from .words import (
     JohnsonWord,
     QaryWord,
     binom,
+    diameter,
     enumerate_ball,
     enumerate_sphere,
     johnson_distance,
@@ -37,13 +38,15 @@ JOHNSON_SCAN_CAP = 1 << 18
 # the sphere identity, checked by full enumeration
 # ---------------------------------------------------------------------------
 
-def _scan_identity(center, sphere: list, space, dist, r: int, s: int) -> bool:
-    """Does every word of ``space`` lie in B(center, r) exactly when it
-    lies in every B(z, r+s) over the sphere?"""
+def _scan_identity(center, sphere: list, space, dist, r: int, s: int):
+    """First word of ``space``, in its order, that lies in B(center, r)
+    but not in every B(z, r+s) over the sphere, or the other way round;
+    None when there is none."""
+    reach = r + s
     for y in space:
-        if (dist(center, y) <= r) != all(dist(z, y) <= r + s for z in sphere):
-            return False
-    return True
+        if (dist(center, y) <= r) != all(dist(z, y) <= reach for z in sphere):
+            return y
+    return None
 
 
 def _hamming(a: tuple, b: tuple) -> int:
@@ -65,13 +68,15 @@ def verify_symmetric_sphere_identity(x, r: int, s: int) -> bool:
     if r < 0 or s < 0:
         raise ParameterError("radii must be nonnegative")
     if isinstance(x, BinaryWord):
-        diam, size = x.length, 1 << x.length
+        diam = diameter("binary", x.length)
+        size = 1 << x.length
         sphere_size = binom(x.length, s)
     elif isinstance(x, QaryWord):
-        diam, size = x.length, x.q ** x.length
+        diam = diameter("qary", x.length)
+        size = x.q ** x.length
         sphere_size = binom(x.length, s) * (x.q - 1) ** s
     elif isinstance(x, JohnsonWord):
-        diam = min(x.length, x.n - x.length)
+        diam = diameter("johnson", x.length, x.n)
         size = binom(x.n, x.length)
         sphere_size = binom(x.length, s) * binom(x.n - x.length, s)
     else:
@@ -94,11 +99,11 @@ def verify_symmetric_sphere_identity(x, r: int, s: int) -> bool:
         space = itertools.product(range(x.q), repeat=x.length)
         return _scan_identity(x.symbols,
                               [z.symbols for z in enumerate_sphere(x, s)],
-                              space, _hamming, r, s)
+                              space, _hamming, r, s) is None
     space = map(frozenset, itertools.combinations(range(1, x.n + 1), x.length))
     return _scan_identity(x.elements,
                           [z.elements for z in enumerate_sphere(x, s)],
-                          space, _johnson, r, s)
+                          space, _johnson, r, s) is None
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +123,10 @@ def qary_verify(code: PpricCode, q: int) -> Verdict:
     L, s, r = code.params.L, code.params.s, code.params.r
     if q ** L > SPACE_CAP:
         raise CapacityError(f"q-ary scan q^L = {q ** L} exceeds {SPACE_CAP}")
-    masks = code.masks()
-    reach = r + s
-    for y in itertools.product(range(q), repeat=L):
-        wt = sum(1 for v in y if v)
-        covered = True
-        for m in masks:
-            d = sum(1 for i, v in enumerate(y) if v != (m >> i & 1))
-            if d > reach:
-                covered = False
-                break
-        if (wt <= r) != covered:
-            return Verdict(False, QaryWord(q, y))
-    return Verdict(True)
+    bits = [tuple(m >> i & 1 for i in range(L)) for m in code.masks()]
+    y = _scan_identity((0,) * L, bits,
+                       itertools.product(range(q), repeat=L), _hamming, r, s)
+    return Verdict(True) if y is None else Verdict(False, QaryWord(q, y))
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +206,10 @@ def johnson_verify(code: JohnsonPpricCode) -> Verdict:
     n, L, r, s = code.n, code.L, code.r, code.s
     if binom(n, L) > SPACE_CAP:
         raise CapacityError(f"J({n},{L}) has {binom(n, L)} words, over the cap")
-    xset = code.x.elements
-    vsets = [v.elements for v in code.codewords]
-    reach = r + s
-    for pick in itertools.combinations(range(1, n + 1), L):
-        y = frozenset(pick)
-        inside = len(xset - y) <= r
-        covered = all(len(v - y) <= reach for v in vsets)
-        if inside != covered:
-            return Verdict(False, JohnsonWord(n, y))
-    return Verdict(True)
+    space = map(frozenset, itertools.combinations(range(1, n + 1), L))
+    y = _scan_identity(code.x.elements, [v.elements for v in code.codewords],
+                       space, _johnson, r, s)
+    return Verdict(True) if y is None else Verdict(False, JohnsonWord(n, y))
 
 
 def johnson_construction(n: int, L: int, s: int, r: int,

@@ -117,15 +117,13 @@ class _Space(Cover):
 
 
 def exact_n_search(L: int, s: int, r: int, size_cap: int | None = None,
-                   node_budget: int = DEFAULT_NODE_BUDGET,
-                   jobs: int = 1) -> SearchResult:
+                   node_budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
     """Minimum PPRIC code size by iterative deepening, with witness.
 
     The first codeword is pinned to support {1..s}; the rest are found by
     the element-branching tree, so the witness is the first completion in
-    that fixed order.  Deterministic for fixed parameters, including under
-    ``jobs`` > 1 fan-out.  Under fan-out the node budget applies to each
-    root branch separately rather than to the whole run.
+    that fixed order.  Deterministic for fixed parameters.  The node
+    budget covers the whole run.
     """
     params = SchemeParams(L, s, r)
     if s == 0:
@@ -138,7 +136,7 @@ def exact_n_search(L: int, s: int, r: int, size_cap: int | None = None,
     space = _Space(L, s, r)
     top = len(space.pool) if size_cap is None else min(size_cap, len(space.pool))
     budget = Budget(node_budget)
-    hit = space.solve(lower, top, budget, jobs)
+    hit = space.solve(lower, top, budget)
     if hit is None:
         raise CapacityError(f"no code within size cap {top}")
     return SearchResult(params, len(hit), space.make_code(hit), budget.nodes)

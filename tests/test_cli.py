@@ -82,7 +82,8 @@ def test_verify_capacity_exit(capsys, monkeypatch, code_file):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # only search --jobs > 1 needs concurrent.futures and multiprocessing
+    # every verb runs in this one process, so the CLI start-up should not
+    # pay for multiprocessing, pickle, socket and subprocess
     env = {**os.environ, "PYTHONPATH": str(Path(ppric.__file__).parents[1])}
     probe = ("import ppric, ppric.cli, sys; "
              "print(sorted(m for m in sys.modules "
@@ -107,6 +108,18 @@ def test_usage_error_is_one_stderr_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: usage:")
     assert err.count("\n") == 1
+
+
+def test_jobs_flag_is_a_usage_error(capsys):
+    # the searches run serially; there is no process fan-out to select
+    for argv in (["search", "--L", "7", "--s", "3", "--r", "0", "--jobs", "2"],
+                 ["sweep", "--L", "6", "--s", "2", "--r", "0", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:")
+        assert err.count("\n") == 1
 
 
 def test_construct_verify_round_trip(capsys, tmp_path):

@@ -39,6 +39,19 @@ FILES = {
                      ' "00001011", "00000111"], "r": 1, "s": 3}\n',
     "db8.txt": "11000000\n00000011\n10101010\n00000000\n11100000\n"
                "01010100\n11110000\n10000001\n",
+    "qdb.txt": "0,0,0,0,0,0\n1,2,0,0,0,0\n0,0,2,2,0,0\n2,2,2,2,2,2\n"
+               "1,0,0,0,0,1\n0,1,0,0,0,0\n1,0,0,0,0,0\n",
+    # johnson --construct --n 10 --L 5 --s 1 --r 1
+    "johnson.json": '{"L": 5, "codewords": [[2, 3, 4, 5, 6], [1, 3, 4, 5, 7],'
+                    ' [1, 2, 4, 5, 8], [1, 2, 3, 5, 9], [1, 2, 3, 4, 10]],'
+                    ' "n": 10, "r": 1, "s": 1, "x": [1, 2, 3, 4, 5]}\n',
+    # the same code without its last codeword: 2r+2 words never suffice
+    "johnson_short.json": '{"L": 5, "codewords": [[2, 3, 4, 5, 6],'
+                          ' [1, 3, 4, 5, 7], [1, 2, 4, 5, 8],'
+                          ' [1, 2, 3, 5, 9]], "n": 10, "r": 1, "s": 1,'
+                          ' "x": [1, 2, 3, 4, 5]}\n',
+    "jdb.txt": "{1,2,3,4,5}\n{1,2,3,4,6}\n{1,2,3,6,7}\n{6,7,8,9,10}\n"
+               "{2,3,4,5,10}\n{1,3,5,7,9}\n{1,2,3,9,10}\n",
 }
 
 CASES = [
@@ -47,7 +60,7 @@ CASES = [
     ["search", "--L", "9", "--s", "3", "--r", "1"],
     ["search", "--L", "10", "--s", "3", "--r", "1"],
     ["search", "--L", "11", "--s", "3", "--r", "1"],
-    ["search", "--L", "9", "--s", "4", "--r", "0", "--jobs", "2"],
+    ["search", "--L", "9", "--s", "4", "--r", "0"],
     ["search", "--L", "9", "--s", "3", "--r", "1", "--node-budget", "100"],
     ["covering", "--exact", "--n", "6", "--k", "4", "--t", "2"],
     ["covering", "--exact", "--n", "7", "--k", "3", "--t", "2"],
@@ -92,12 +105,30 @@ CASES = [
     ["verify", "--code", "{dir}/code.json"],
     ["verify", "--code", "{dir}/bad.json"],
     ["verify", "--code", "{dir}/split.json"],
+    ["verify", "--code", "{dir}/code.json", "--q", "3"],
+    ["verify", "--code", "{dir}/bad.json", "--q", "3"],
+    ["verify", "--code", "{dir}/code.json", "--enumerate"],
+    ["verify", "--code", "{dir}/bad.json", "--enumerate"],
+    ["johnson", "--construct", "--n", "10", "--L", "5", "--s", "1",
+     "--r", "1"],
+    ["johnson", "--construct", "--n", "12", "--L", "6", "--s", "1", "--r", "1",
+     "--x", "{2,4,6,8,10,12}"],
+    ["johnson", "--verify", "{dir}/johnson.json"],
+    ["johnson", "--verify", "{dir}/johnson_short.json"],
     ["exact-n", "--L", "9", "--s", "3", "--r", "1"],
     ["exact-n", "--L", "10", "--s", "3", "--r", "1"],
     ["simulate", "--db", "{dir}/db.txt", "--code", "{dir}/code.json",
      "--x", "110000", "--seed", "7"],
     ["simulate", "--db", "{dir}/db8.txt", "--code", "{dir}/extremal.json",
      "--x", "11000000", "--seed", "7"],
+    ["simulate", "--db", "{dir}/jdb.txt", "--code", "{dir}/johnson.json",
+     "--x", "{1,2,3,4,6}", "--seed", "7"],
+    ["simulate", "--db", "{dir}/jdb.txt", "--code", "{dir}/johnson.json",
+     "--x", "{1,2,3,4,6}", "--seed", "7", "--r", "0"],
+    ["simulate", "--db", "{dir}/qdb.txt", "--code", "{dir}/code.json",
+     "--q", "3", "--x", "1,0,0,0,0,0", "--seed", "7"],
+    ["simulate", "--db", "{dir}/qdb.txt", "--code", "{dir}/code.json",
+     "--q", "3", "--x", "1,0,0,0,0,0", "--seed", "7", "--r", "1"],
 ]
 
 

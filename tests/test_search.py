@@ -85,15 +85,6 @@ def test_deterministic_witness():
     assert a.n_exact == 4
 
 
-def test_jobs_fanout_matches_serial():
-    serial = exact_n_search(9, 4, 0)
-    fanned = exact_n_search(9, 4, 0, jobs=4)
-    assert serial.n_exact == fanned.n_exact == 5
-    assert serial.witness == fanned.witness
-    # the pinned root plus the branches up to the winner, as serially
-    assert serial.nodes_explored == fanned.nodes_explored
-
-
 def test_size_cap():
     res = exact_n_search(6, 2, 0, size_cap=3)
     assert res.n_exact == 3
