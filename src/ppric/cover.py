@@ -3,9 +3,9 @@
 Every exhaustive question in the package is a minimum set cover: the
 minimum code size N(L, s, r) (``search``), the covering numbers
 c(n, k, t) (``covering``) and the Johnson-scheme 2r+3 check
-(``schemes``).  Each caller builds only its instance, a ``Cover``: a
-universe of elements split into segments, and a list of candidates, each
-covering a fixed element set.  This module searches it.
+(``schemes``).  Each caller states only its instance, a ``Cover`` of
+ground-set masks in which a candidate covers an element when their
+overlap is below a bound; this module builds its bitsets and searches it.
 
 Candidate 0 is pinned: every cover searched contains it, which each
 caller justifies by symmetry.  Sizes are tried by iterative deepening.
@@ -29,6 +29,21 @@ DEFAULT_NODE_BUDGET = 5_000_000
 ELEMENT_WINDOW = 64
 
 
+def _below(rows: list[int], cols: list[int], bound: int) -> list[int]:
+    """Per row, the mask of the cols it overlaps in fewer than bound places.
+
+    A lane per ground coordinate has byte j set to 1 where cols[j] holds
+    it, so a row's lane sum has every overlap count in a byte; its
+    big-endian bytes, translated to '1'/'0', read in base 2 give bit j.
+    """
+    lanes = [int.from_bytes(bytes(m >> g & 1 for m in cols), "little")
+             for g in range(max(rows).bit_length())]
+    table = bytes(b"01"[v < bound] for v in range(256))
+    return [int(sum(lane for g, lane in enumerate(lanes) if row >> g & 1)
+                .to_bytes(len(cols), "big").translate(table), 2)
+            for row in rows]
+
+
 class Budget:
     __slots__ = ("nodes", "limit")
 
@@ -40,31 +55,30 @@ class Budget:
 class Cover:
     """Bitset instance: a cover mask per candidate, a handler mask per element.
 
-    ``members`` yields, per candidate, the indices of the elements it
-    covers; ``segments`` lists the segment sizes in element-index order.
+    ``candidates`` are ground-set masks.  Each segment is a pair
+    ``(element_masks, bound)``; elements are indexed in segment order, and
+    candidate c covers element e iff ``popcount(c & e) < bound``.
     """
 
-    def __init__(self, members, segments: list[int]):
-        total = sum(segments)
-        self.full = (1 << total) - 1
-        self.cover = []
-        self.handler = [0] * total
-        for ci, elements in enumerate(members):
-            cbit = 1 << ci
-            mask = 0
-            for j in elements:
-                mask |= 1 << j
-                self.handler[j] |= cbit
-            self.cover.append(mask)
-        self.full_pool = (1 << len(self.cover)) - 1
+    def __init__(self, candidates: list[int],
+                 segments: list[tuple[list[int], int]]):
+        heaviest = max(e.bit_count() for masks, _ in segments for e in masks)
+        # a byte lane holds overlap counts up to 255
+        if min(heaviest, max(map(int.bit_count, candidates))) > 255:
+            raise ParameterError("overlap counts over 255 overflow a byte lane")
+        self.cover = [0] * len(candidates)
+        self.handler = []
         # (offset, width mask, largest per-candidate count) per segment
         self.segments = []
-        offset = 0
-        for size in segments:
-            seg = (1 << size) - 1
-            cap = max((m >> offset & seg).bit_count() for m in self.cover)
-            self.segments.append((offset, seg, cap))
-            offset += size
+        for masks, bound in segments:
+            offset = len(self.handler)
+            rows = _below(candidates, masks, bound)
+            self.cover = [m | row << offset for m, row in zip(self.cover, rows)]
+            self.handler += _below(masks, candidates, bound)
+            self.segments.append((offset, (1 << len(masks)) - 1,
+                                  max(map(int.bit_count, rows))))
+        self.full = (1 << len(self.handler)) - 1
+        self.full_pool = (1 << len(candidates)) - 1
 
     def pick_handlers(self, unhandled: int, alive: int) -> int:
         """Handler mask of the branch element, or 0 for a dead position.

@@ -88,6 +88,17 @@ def schoenheim_bound(n: int, k: int, t: int) -> int:
     return value
 
 
+def _covering_cover(n: int, k: int, t: int) -> Cover:
+    """The k-subsets of {1..n} against its t-subsets, in combinations order:
+    T lies inside B iff T meets the complement of B in fewer than 1 point."""
+    points = range(1, n + 1)
+    full = sum(1 << p for p in points)
+    return Cover([full ^ sum(1 << p for p in B)
+                  for B in itertools.combinations(points, k)],
+                 [([sum(1 << p for p in T)
+                    for T in itertools.combinations(points, t)], 1)])
+
+
 def exact_covering_number(
     n: int, k: int, t: int, return_witness: bool = False,
     node_budget: int = 2_000_000,
@@ -109,16 +120,10 @@ def exact_covering_number(
     if math.comb(n, k) > (1 << 16):
         raise CapacityError("exact covering search capped at C(n,k) <= 2**16")
 
-    points = range(1, n + 1)
-    t_index = {sub: i for i, sub in enumerate(itertools.combinations(points, t))}
-    blocks = list(itertools.combinations(points, k))
-    instance = Cover(
-        ([t_index[sub] for sub in itertools.combinations(blk, t)]
-         for blk in blocks),
-        [len(t_index)],
-    )
+    blocks = list(itertools.combinations(range(1, n + 1), k))
     lower = 1 if k == t else schoenheim_bound(n, k, t)
-    got = instance.solve(lower, len(blocks), Budget(node_budget))
+    got = _covering_cover(n, k, t).solve(lower, len(blocks),
+                                         Budget(node_budget))
     if not return_witness:
         return len(got)
     return len(got), tuple(frozenset(blocks[i]) for i in got)

@@ -271,10 +271,10 @@ def _johnson_cover(n: int, L: int, s: int, r: int) -> Cover:
     sphere = list(enumerate_sphere(x, s))
     universe = [y.elements for y in enumerate_ball(sphere[0], r + s)
                 if len(x.elements - y.elements) > r]
+    # |v - y| > r+s iff |v n y| < L-r-s, as both have L elements
     return Cover(
-        ([j for j, y in enumerate(universe) if len(v.elements - y) > r + s]
-         for v in sphere),
-        [len(universe)],
+        [sum(1 << p for p in v.elements) for v in sphere],
+        [([sum(1 << p for p in y) for y in universe], L - r - s)],
     )
 
 

@@ -4,8 +4,8 @@ The reformulation that drives the search: a weight-s code is PPRIC iff
 for every gamma in 1..min(s, (L-r+1)//2) and every coordinate set P of
 size min(r+2*gamma, L), some codeword c satisfies |P n supp(c)| < gamma.
 (Hitting sets only grow under padding, so checking the top size per
-gamma suffices.)  Each such (gamma, P) pair is an element to be covered;
-each candidate codeword covers a fixed, precomputable element set.
+gamma suffices.)  Each such (gamma, P) pair is an element to be covered,
+and a candidate codeword covers it when |P n supp(c)| < gamma.
 Finding N is then a minimum set cover, searched by the engine in
 ``cover`` with the first codeword pinned to support {1..s} by
 coordinate-permutation symmetry.
@@ -76,32 +76,12 @@ class _Space(Cover):
         if per_cand * len(self.pool) > COVER_WORK_CAP:
             raise CapacityError("cover-mask precomputation exceeds the work cap")
 
-        # concatenated element indexing: segment per gamma
-        seg_sizes = []
-        index_of: dict[tuple[int, int], int] = {}
-        for w in widths:
-            offset = len(index_of)
-            for supp in itertools.combinations(range(L), w):
-                index_of[w, sum(1 << c for c in supp)] = len(index_of)
-            seg_sizes.append(len(index_of) - offset)
-
-        def members():
-            all_coords = list(range(L))
-            for cand in self.pool:
-                supp = [c for c in all_coords if cand >> c & 1]
-                comp = [c for c in all_coords if not cand >> c & 1]
-                elements = []
-                for g, w in zip(gammas, widths):
-                    for i in range(g):
-                        if w - i > len(comp):
-                            continue
-                        for inside in itertools.combinations(supp, i):
-                            for outside in itertools.combinations(comp, w - i):
-                                key = sum(1 << c for c in inside + outside)
-                                elements.append(index_of[w, key])
-                yield elements
-
-        super().__init__(members(), seg_sizes)
+        # one segment per gamma: the width-w coordinate sets P, bound gamma
+        super().__init__(self.pool, [
+            ([sum(1 << c for c in P)
+              for P in itertools.combinations(range(L), w)], g)
+            for g, w in zip(gammas, widths)
+        ])
 
     def make_code(self, indices) -> PpricCode:
         """The code on the given pool indices, re-checked with verify_exact."""

@@ -62,12 +62,19 @@ CASES = [
     ["search", "--L", "11", "--s", "3", "--r", "1"],
     ["search", "--L", "9", "--s", "4", "--r", "0"],
     ["search", "--L", "9", "--s", "3", "--r", "1", "--node-budget", "100"],
+    # wide points: most of their time goes to building the instance
+    ["search", "--L", "13", "--s", "3", "--r", "2"],
+    ["search", "--L", "12", "--s", "4", "--r", "0"],
+    ["search", "--L", "11", "--s", "5", "--r", "0"],
+    ["search", "--L", "14", "--s", "3", "--r", "2"],
     ["covering", "--exact", "--n", "6", "--k", "4", "--t", "2"],
     ["covering", "--exact", "--n", "7", "--k", "3", "--t", "2"],
     ["covering", "--exact", "--n", "7", "--k", "4", "--t", "3"],
     ["covering", "--exact", "--n", "8", "--k", "3", "--t", "2"],
     ["covering", "--exact", "--n", "10", "--k", "4", "--t", "3"],
     ["covering", "--exact", "--n", "11", "--k", "3", "--t", "2"],
+    # k = t: deepening starts at 1
+    ["covering", "--exact", "--n", "6", "--k", "3", "--t", "3"],
     ["johnson", "--exact-check", "--n", "8", "--L", "4", "--s", "1",
      "--r", "0"],
     ["johnson", "--exact-check", "--n", "12", "--L", "4", "--s", "1",

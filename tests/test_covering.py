@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ppric.covering import (
     CoveringDesign,
+    _covering_cover,
     all_pairs_design,
     complement_design,
     design_9_5_2,
@@ -84,6 +85,22 @@ def test_exact_covering_numbers():
     assert verify_covering(CoveringDesign(6, 3, 2, witness))
     with pytest.raises(CapacityError):
         exact_covering_number(11, 3, 2)
+
+
+@pytest.mark.parametrize("n,k,t", [(6, 3, 2), (7, 4, 3), (5, 3, 3)])
+def test_instance_masks_match_definition(n, k, t):
+    # block B covers the t-subset T iff T is inside B
+    inst = _covering_cover(n, k, t)
+    blocks = [set(b) for b in itertools.combinations(range(1, n + 1), k)]
+    subsets = [set(T) for T in itertools.combinations(range(1, n + 1), t)]
+    assert len(inst.cover) == len(blocks)
+    assert len(inst.handler) == len(subsets)
+    assert max(inst.cover) >> len(subsets) == 0
+    assert max(inst.handler) >> len(blocks) == 0
+    for c, B in enumerate(blocks):
+        for j, T in enumerate(subsets):
+            hit = T <= B
+            assert (inst.cover[c] >> j & 1) == hit == (inst.handler[j] >> c & 1)
 
 
 def test_exact_at_least_schoenheim():

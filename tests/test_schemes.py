@@ -24,6 +24,7 @@ from ppric.words import (
     BinaryWord,
     JohnsonWord,
     QaryWord,
+    enumerate_ball,
     enumerate_sphere,
     johnson_distance,
 )
@@ -171,6 +172,27 @@ class JohnsonCodeTests(unittest.TestCase):
             code = JohnsonPpricCode(n, L, s, r, x,
                                     tuple(sphere[i] for i in hit))
             self.assertTrue(johnson_verify(code).is_ppric)
+
+    def test_instance_masks_match_definition(self):
+        # sphere word v covers y (in B(v0, r+s), outside B(x, r)) iff
+        # |v - y| > r+s
+        for n, L, s, r in [(8, 4, 1, 0), (10, 5, 1, 1), (12, 5, 1, 1)]:
+            inst = _johnson_cover(n, L, s, r)
+            x = JohnsonWord(n, frozenset(range(1, L + 1)))
+            sphere = [v.elements for v in enumerate_sphere(x, s)]
+            universe = [y.elements
+                        for y in enumerate_ball(JohnsonWord(n, sphere[0]),
+                                                r + s)
+                        if len(x.elements - y.elements) > r]
+            self.assertEqual(len(inst.cover), len(sphere))
+            self.assertEqual(len(inst.handler), len(universe))
+            self.assertEqual(max(inst.cover) >> len(universe), 0)
+            self.assertEqual(max(inst.handler) >> len(sphere), 0)
+            for c, v in enumerate(sphere):
+                for j, y in enumerate(universe):
+                    hit = len(v - y) > r + s
+                    self.assertEqual(inst.cover[c] >> j & 1, hit)
+                    self.assertEqual(inst.handler[j] >> c & 1, hit)
 
     def test_exact_check(self):
         self.assertTrue(johnson_exact_check(8, 4, 1, 0))

@@ -7,6 +7,7 @@ from ppric.codes import make_code, verify_exact
 from ppric.errors import CapacityError, ParameterError
 from ppric.search import (
     SearchResult,
+    _Space,
     conjecture_probe,
     exact_n_search,
     minimal_codes_enumerate,
@@ -102,6 +103,31 @@ def test_node_budget():
 def test_pool_cap():
     with pytest.raises(CapacityError):
         exact_n_search(40, 12, 0)
+
+
+def test_universe_and_work_caps():
+    # universe C(17,5)+C(17,7)+C(17,9)+C(17,11) = 62,322 > UNIVERSE_CAP
+    with pytest.raises(CapacityError, match="universe"):
+        exact_n_search(17, 4, 3)
+    with pytest.raises(CapacityError, match="work cap"):
+        exact_n_search(15, 5, 0)
+
+
+@pytest.mark.parametrize("L,s,r", [(7, 3, 0), (9, 3, 1), (8, 2, 3)])
+def test_space_masks_match_definition(L, s, r):
+    # word c covers (gamma, P) iff |P n supp c| < gamma, gamma-major order
+    space = _Space(L, s, r)
+    supports = [set(c) for c in itertools.combinations(range(L), s)]
+    elements = [(g, set(P)) for g in range(1, min(s, (L - r + 1) // 2) + 1)
+                for P in itertools.combinations(range(L), min(r + 2 * g, L))]
+    assert len(space.cover) == len(supports)
+    assert len(space.handler) == len(elements)
+    assert max(space.cover) >> len(elements) == 0
+    assert max(space.handler) >> len(supports) == 0
+    for c, supp in enumerate(supports):
+        for j, (g, P) in enumerate(elements):
+            hit = len(P & supp) < g
+            assert (space.cover[c] >> j & 1) == hit == (space.handler[j] >> c & 1)
 
 
 def test_s_zero_trivial():
