@@ -147,8 +147,8 @@ def lb_r0_special(L: int, s: int) -> int | None:
 # search has: a minimum-size code was exhibited at each.  And the grid
 # points where search disproved the table value altogether: no 6-codeword
 # code exists at (9, 3, 1) (minimum 7), and no 7-codeword code at
-# (12, 3, 2) (minimum 8, settled by a 7.4e8-node run whose witness is
-# replayed in the test suite).
+# (12, 3, 2) (minimum 8).  The test suite replays both refutations and
+# both witnesses, each search within 2M nodes.
 _SEARCH_CONFIRMED = {(8, 3, 0): 4, (10, 3, 1): 6, (11, 3, 1): 5, (11, 5, 0): 6}
 _SEARCH_REFUTED = {(9, 3, 1), (12, 3, 2)}
 
@@ -191,7 +191,8 @@ def exact_n(L: int, s: int, r: int, with_rule: bool = False):
     # minimum can exceed the table value.  A value is claimed only with a
     # certificate: either the construction catalog achieves it, or
     # exhaustive search (exact_n_search) has exhibited a code of that size.
-    # Search has also refuted one point outright, N(9, 3, 1) = 7.
+    # Search has also refuted two points outright: N(9, 3, 1) = 7 and
+    # N(12, 3, 2) = 8.
     if hit is not None and hit[0] != "exact.item1":
         if (L, s, r) in _SEARCH_REFUTED:
             hit = None

@@ -12,15 +12,35 @@ caller justifies by symmetry.  Sizes are tried by iterative deepening.
 Within one size the tree branches on an uncovered element: every
 completion must contain one of its handlers (the candidates covering
 it), so the children commit one handler each and ban the handlers tried
-by earlier siblings.  That partitions the completions, so each is
-visited exactly once and the first one found is deterministic.  The
-branch element is the one with the fewest usable handlers among the
-lowest-index ELEMENT_WINDOW uncovered elements.  A segment is dead when
-its uncovered count exceeds the open slots times the largest number of
-its elements any one candidate covers.
+by earlier siblings.  The branch element is the one with the fewest
+usable handlers among the lowest-index ELEMENT_WINDOW uncovered
+elements.  A segment is dead when its uncovered count exceeds the open
+slots times the largest number of its elements any one candidate covers.
+
+Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math.
+Programming 2011; Margot 2003) keeps the tree from visiting symmetric
+copies of one subtree.  Each caller declares ``cells``, disjoint parts of
+the ground set whose points its instance lets be permuted freely: the
+candidates and every segment's elements are closed under those
+permutations once candidate 0 is fixed.  Each node refines the cells by
+the set of every candidate chosen (candidate 0 included), of every
+branch element on its path and of its own branch element; the Young
+subgroup of that partition fixes the whole position, bans included.  Two
+usable handlers lie in one orbit of it when they meet every cell in as
+many points.  Only the lowest-index member of each orbit is tried, in
+index order; once its child returns, the whole orbit is banned for later
+siblings, since any cover through another member maps onto one through
+the member tried.  Inside the child only the tried member is banned, so
+every ban stays invariant under the smaller group below it.  ``solve``
+thus visits each completion up to symmetry at least once and returns
+the first cover in branch order; ``collect`` treats every handler as its
+own orbit, so it still visits every completion exactly once.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 from .errors import CapacityError, ParameterError
 
@@ -52,20 +72,68 @@ class Budget:
         self.limit = limit
 
 
+# a byte lane's 0/1 to the digit '0'/'1'
+_BITS = bytes(48 + (v & 1) for v in range(256))
+
+
+def _refine(cells: list[int], part: int) -> list[int]:
+    """The cells split by ``part``, keeping only pieces of two points or more
+    (a single point is fixed by every permutation of its cell)."""
+    out = []
+    for cell in cells:
+        for piece in (cell & part, cell & ~part):
+            if piece & (piece - 1):
+                out.append(piece)
+    return out
+
+
 class Cover:
     """Bitset instance: a cover mask per candidate, a handler mask per element.
 
     ``candidates`` are ground-set masks.  Each segment is a pair
     ``(element_masks, bound)``; elements are indexed in segment order, and
     candidate c covers element e iff ``popcount(c & e) < bound``.
+    ``cells`` are disjoint ground-set masks whose points may be permuted
+    within each cell: the candidates, and once candidate 0 is fixed every
+    segment's elements, must be closed under those permutations.
     """
 
     def __init__(self, candidates: list[int],
-                 segments: list[tuple[list[int], int]]):
+                 segments: list[tuple[list[int], int]], cells: list[int]):
         heaviest = max(e.bit_count() for masks, _ in segments for e in masks)
         # a byte lane holds overlap counts up to 255
         if min(heaviest, max(map(int.bit_count, candidates))) > 255:
             raise ParameterError("overlap counts over 255 overflow a byte lane")
+        if sum(map(int.bit_count, cells)) != functools.reduce(
+                operator.or_, cells, 0).bit_count():
+            raise ParameterError("symmetry cells must be disjoint")
+        self.sets = candidates
+        self.elements = [e for masks, _ in segments for e in masks]
+        # the declared cells of two points or more
+        self.cells = _refine(cells, 0)
+        # orbit keys, a field per candidate: its points off the moving
+        # cells in the low ``width`` bits, then one count per moving cell
+        # (at most half the points); lanes[g] adds 1 to that count for each
+        # candidate holding point g, and members[g] is the mask of those
+        # candidates
+        self.ground = functools.reduce(operator.or_, candidates)
+        points = self.ground | functools.reduce(operator.or_, cells, 0)
+        self.width = points.bit_length()
+        self.digit = max(map(int.bit_count, candidates)).bit_length()
+        self.field = (self.width + self.digit * (points.bit_count() // 2)
+                      + 7) // 8
+        size = self.field * len(candidates)
+        self.spread = int.from_bytes(
+            (b"\x01" + bytes(self.field - 1)) * len(candidates), "little")
+        self.keyed = int.from_bytes(b"".join(
+            m.to_bytes(self.field, "little") for m in candidates), "little")
+        self.lanes, self.members = [], []
+        for g in range(self.width if self.cells else 0):
+            held = bytes(m >> g & 1 for m in candidates)
+            lane = bytearray(size)
+            lane[::self.field] = held
+            self.lanes.append(int.from_bytes(lane, "little"))
+            self.members.append(int(held[::-1].translate(_BITS), 2))
         self.cover = [0] * len(candidates)
         self.handler = []
         # (offset, width mask, largest per-candidate count) per segment
@@ -80,8 +148,8 @@ class Cover:
         self.full = (1 << len(self.handler)) - 1
         self.full_pool = (1 << len(candidates)) - 1
 
-    def pick_handlers(self, unhandled: int, alive: int) -> int:
-        """Handler mask of the branch element, or 0 for a dead position.
+    def pick_element(self, unhandled: int, alive: int) -> int:
+        """Index of the branch element, or -1 for a dead position.
 
         Scans the lowest-index uncovered elements (at most ELEMENT_WINDOW
         of them) and keeps the one with the fewest usable handlers.  Any
@@ -89,41 +157,85 @@ class Cover:
         """
         handler = self.handler
         best = 0
-        best_mask = 0
+        pick = -1
         u = unhandled
         seen = 0
         while u and seen < ELEMENT_WINDOW:
             low = u & -u
             u ^= low
             seen += 1
-            h = handler[low.bit_length() - 1] & alive
-            c = h.bit_count()
+            j = low.bit_length() - 1
+            c = (handler[j] & alive).bit_count()
             if c == 0:
-                return 0
+                return -1
             if best == 0 or c < best:
-                best, best_mask = c, h
+                best, pick = c, j
                 if c == 1:
                     break
-        return best_mask
+        return pick
+
+    def _orbits(self, handlers: int, cells: list[int]) -> dict[int, int]:
+        """Lowest member -> orbit mask, for each orbit of two or more
+        ``handlers`` under the Young subgroup of ``cells``: the same points
+        off the cells and equal popcount in each.  A handler that meets
+        every cell in none or all of its points is alone in its orbit."""
+        lanes, members = self.lanes, self.members
+        moving = loose = counts = 0
+        shift = self.width
+        for cell in cells:
+            moving |= cell
+            some, every, count = 0, -1, 0
+            c = cell
+            while c:
+                low = c & -c
+                c ^= low
+                g = low.bit_length() - 1
+                some |= members[g]
+                every &= members[g]
+                count += lanes[g]
+            loose |= some & ~every
+            counts += count << shift
+            shift += self.digit
+        loose &= handlers
+        if not loose & (loose - 1):
+            return {}
+        field = self.field
+        key = ((self.keyed & (self.ground & ~moving) * self.spread) + counts
+               ).to_bytes(field * len(self.sets), "little")
+        orbits: dict[bytes, int] = {}
+        while loose:
+            low = loose & -loose
+            loose ^= low
+            at = (low.bit_length() - 1) * field
+            k = key[at:at + field]
+            orbits[k] = orbits.get(k, 0) | low
+        return {orbit & -orbit: orbit for orbit in orbits.values()
+                if orbit & (orbit - 1)}
 
     def _branch(self, chosen: list[int], unhandled: int, alive: int,
-                handlers: int, slots: int, budget: Budget,
+                handlers: int, cells: list[int], slots: int, budget: Budget,
                 found: list | None) -> tuple[int, ...] | None:
-        """Try each candidate in ``handlers`` as the next of ``slots`` picks.
+        """Try one candidate per orbit of ``handlers`` as the next of
+        ``slots`` picks.
 
         Each candidate tried is one node.  Once it is picked the node is a
         leaf when no slot is left, dead when a segment cannot be finished,
         and otherwise branches on its own element.  ``alive`` is the
-        candidate mask still allowed on this path.  Returns the first
-        cover found as a sorted index tuple, or None; with ``found`` a
-        list, every cover is appended to it instead and None is returned.
+        candidate mask still allowed on this path, and ``cells`` the
+        non-singleton cells of the partition fixing it (empty: every
+        handler is its own orbit).  Returns the first cover found as a
+        sorted index tuple, or None; with ``found`` a list, every cover is
+        appended to it instead and None is returned.
         """
         cover = self.cover
+        orbits = (self._orbits(handlers, cells)
+                  if cells and handlers & (handlers - 1) else None)
         slots -= 1
         while handlers:
             low = handlers & -handlers
-            handlers ^= low
-            # sibling ban: the covers using i are all enumerated below
+            orbit = orbits.get(low, low) if orbits else low
+            handlers &= ~orbit
+            # inside the child only i itself is banned
             alive &= ~low
             i = low.bit_length() - 1
             rest = unhandled & ~cover[i]
@@ -147,13 +259,20 @@ class Cover:
                 if (rest >> off & seg).bit_count() > slots * cap:
                     break
             else:
-                chosen.append(i)
-                hit = self._branch(chosen, rest, alive,
-                                   self.pick_handlers(rest, alive), slots,
-                                   budget, found)
-                chosen.pop()
-                if hit is not None:
-                    return hit
+                j = self.pick_element(rest, alive)
+                if j >= 0:
+                    sub = cells and _refine(_refine(cells, self.sets[i]),
+                                            self.elements[j])
+                    chosen.append(i)
+                    hit = self._branch(chosen, rest, alive,
+                                       self.handler[j] & alive, sub, slots,
+                                       budget, found)
+                    chosen.pop()
+                    if hit is not None:
+                        return hit
+            # sibling ban: every cover through this orbit maps onto one
+            # through i, and those were all tried above
+            alive &= ~orbit
         return None
 
     def solve(self, lower: int, upper: int,
@@ -165,8 +284,8 @@ class Cover:
         """
         for m in range(lower, min(upper, len(self.cover)) + 1):
             # the root node is the pinned pick of candidate 0
-            hit = self._branch([], self.full, self.full_pool, 1, m, budget,
-                               None)
+            hit = self._branch([], self.full, self.full_pool, 1, self.cells,
+                               m, budget, None)
             if hit is not None:
                 return hit
         return None
@@ -174,10 +293,12 @@ class Cover:
     def collect(self, m: int, budget: Budget) -> list[tuple[int, ...]]:
         """Every size-m cover containing candidate 0, in branch order.
 
-        Raises ParameterError when m exceeds the minimum size, as soon as
-        a smaller cover shows up mid-branch.
+        Every handler is its own orbit here, so no cover is dropped as a
+        symmetric copy of another.  Raises ParameterError when m exceeds
+        the minimum size, as soon as a smaller cover shows up mid-branch.
         """
         found: list[tuple[int, ...]] = []
         if m <= len(self.cover):
-            self._branch([], self.full, self.full_pool, 1, m, budget, found)
+            self._branch([], self.full, self.full_pool, 1, [], m, budget,
+                         found)
         return found

@@ -90,13 +90,15 @@ def schoenheim_bound(n: int, k: int, t: int) -> int:
 
 def _covering_cover(n: int, k: int, t: int) -> Cover:
     """The k-subsets of {1..n} against its t-subsets, in combinations order:
-    T lies inside B iff T meets the complement of B in fewer than 1 point."""
+    T lies inside B iff T meets the complement of B in fewer than 1 point.
+    Every permutation of the points maps the instance onto itself."""
     points = range(1, n + 1)
     full = sum(1 << p for p in points)
     return Cover([full ^ sum(1 << p for p in B)
                   for B in itertools.combinations(points, k)],
                  [([sum(1 << p for p in T)
-                    for T in itertools.combinations(points, t)], 1)])
+                    for T in itertools.combinations(points, t)], 1)],
+                 [full])
 
 
 def exact_covering_number(

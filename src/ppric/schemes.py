@@ -265,16 +265,20 @@ def _johnson_cover(n: int, L: int, s: int, r: int) -> Cover:
     outside B(x, r) lies outside some B(v, r+s); v0 alone already expels
     everything beyond B(v0, r+s), so the elements are the words of
     B(v0, r+s) outside B(x, r), each covered by the sphere words it lies
-    far from.
+    far from.  The permutations of the points fixing x map the sphere onto
+    itself, and those fixing v0 as well map the elements onto themselves,
+    so the symmetry cells are x and its complement.
     """
     x = JohnsonWord(n, frozenset(range(1, L + 1)))
     sphere = list(enumerate_sphere(x, s))
     universe = [y.elements for y in enumerate_ball(sphere[0], r + s)
                 if len(x.elements - y.elements) > r]
+    inside = sum(1 << p for p in x.elements)
     # |v - y| > r+s iff |v n y| < L-r-s, as both have L elements
     return Cover(
         [sum(1 << p for p in v.elements) for v in sphere],
         [([sum(1 << p for p in y) for y in universe], L - r - s)],
+        [inside, ((1 << n + 1) - 2) ^ inside],
     )
 
 

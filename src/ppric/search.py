@@ -76,12 +76,13 @@ class _Space(Cover):
         if per_cand * len(self.pool) > COVER_WORK_CAP:
             raise CapacityError("cover-mask precomputation exceeds the work cap")
 
-        # one segment per gamma: the width-w coordinate sets P, bound gamma
+        # one segment per gamma: the width-w coordinate sets P, bound gamma;
+        # every coordinate permutation maps the instance onto itself
         super().__init__(self.pool, [
             ([sum(1 << c for c in P)
               for P in itertools.combinations(range(L), w)], g)
             for g, w in zip(gammas, widths)
-        ])
+        ], [(1 << L) - 1])
 
     def make_code(self, indices) -> PpricCode:
         """The code on the given pool indices, re-checked with verify_exact."""

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ppric.cover import Budget
 from ppric.covering import (
     CoveringDesign,
     _covering_cover,
@@ -101,6 +102,26 @@ def test_instance_masks_match_definition(n, k, t):
         for j, T in enumerate(subsets):
             hit = T <= B
             assert (inst.cover[c] >> j & 1) == hit == (inst.handler[j] >> c & 1)
+
+
+# every (n, k, t) with n <= 7 that exact_covering_number accepts
+COVERING_GRID = [(n, k, t) for n in range(2, 8) for k in range(1, n)
+                 for t in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("n,k,t", COVERING_GRID)
+def test_orbital_minimum_matches_full_enumeration(n, k, t):
+    # collect prunes no symmetric subtree: no cover one block smaller,
+    # and the orbital witness among the covers of its size
+    inst = _covering_cover(n, k, t)
+    c, blocks = exact_covering_number(n, k, t, return_witness=True)
+    hit = inst.solve(1, len(inst.sets), Budget(2_000_000))
+    assert len(hit) == c
+    if c > 1:
+        assert inst.collect(c - 1, Budget(2_000_000)) == []
+    assert hit in inst.collect(c, Budget(2_000_000))
+    design = CoveringDesign(n, k, t, blocks)
+    assert verify_covering(design) and covers(design)
 
 
 def test_exact_at_least_schoenheim():

@@ -165,8 +165,12 @@ class JohnsonCodeTests(unittest.TestCase):
             self.assertTrue(johnson_exact_check(n, L, s, r))
             # the pinned instance reaches the same minimum with a real
             # code, so its refutations below 2r+3 are not vacuous
-            hit = _johnson_cover(n, L, s, r).solve(1, 2 * r + 3, Budget())
+            inst = _johnson_cover(n, L, s, r)
+            hit = inst.solve(1, 2 * r + 3, Budget())
             self.assertEqual(len(hit), brute)
+            # collect prunes no symmetric subtree, unlike solve
+            self.assertEqual(inst.collect(brute - 1, Budget()), [])
+            self.assertIn(hit, inst.collect(brute, Budget()))
             x = JohnsonWord(n, frozenset(range(1, L + 1)))
             sphere = list(enumerate_sphere(x, s))
             code = JohnsonPpricCode(n, L, s, r, x,

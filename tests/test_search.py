@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from ppric.codes import make_code, verify_exact
+from ppric import bounds
+from ppric.codes import make_code, verify_enumeration, verify_exact
+from ppric.cover import Budget
 from ppric.errors import CapacityError, ParameterError
 from ppric.search import (
     SearchResult,
@@ -77,6 +79,39 @@ def test_regression_9_3_1_minimum_is_seven():
 @pytest.mark.slow
 def test_regression_9_3_1_exhausts_size_six():
     assert minimal_codes_enumerate(9, 3, 1, 6) == []
+
+
+def test_replay_12_3_2_has_no_seven_word_code():
+    # the table value 7 is refuted in the suite, under the 2M-node budget
+    # of criterion 05, before a size-8 code is found
+    assert bounds.best_lower(12, 3, 2) == 7
+    assert bounds.exact_n(12, 3, 2) is None
+    res = exact_n_search(12, 3, 2, node_budget=2_000_000)
+    assert res.n_exact == 8
+    assert verify_enumeration(res.witness).is_ppric
+
+
+# every admissible point with L <= 9 but (9, 3, 2), whose minimum neither
+# search settles within the budget
+SOUNDNESS_GRID = [(L, s, r) for L in range(3, 10) for s in range(1, L)
+                  for r in range(L - 2 * s) if (L, s, r) != (9, 3, 2)]
+
+
+@pytest.mark.parametrize("L,s,r", SOUNDNESS_GRID)
+def test_orbital_minimum_matches_full_enumeration(L, s, r):
+    # solve prunes symmetric subtrees and deepens from size 1; collect
+    # prunes none, so it must find no code one size below solve's and
+    # list solve's witness among the codes of its size
+    space = _Space(L, s, r)
+    hit = space.solve(1, len(space.sets), Budget(2_000_000))
+    m = len(hit)
+    if m > 1:
+        assert space.collect(m - 1, Budget(2_000_000)) == []
+    if (L, s, r) != (9, 3, 1):  # listing every 7-word code is out of budget
+        assert hit in space.collect(m, Budget(2_000_000))
+    code = space.make_code(hit)
+    assert verify_exact(code).is_ppric
+    assert verify_enumeration(code).is_ppric
 
 
 def test_deterministic_witness():
