@@ -23,7 +23,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import covering
+from . import construct, covering
 from .errors import CapacityError, ParameterError
 from .jsondoc import JsonDoc
 from .words import binom, ceil_div
@@ -60,13 +60,18 @@ def _covering_probe(n: int, k: int, t: int) -> int | None:
         return None
 
 
-def lb_covering_chain(L: int, s: int, r: int, with_rules: bool = False):
+def lb_covering_chain(L: int, s: int, r: int) -> int:
     """Covering-number route: complement supports form an (L, L-s, r+2)
     covering design, so N is at least c(L, L-s, r+2) and any lower bound on
     that covering number transfers.  Takes the max of the plain fraction,
     the Schonheim chain, and chains rebased on small exactly-known values.
     """
     _check(L, s, r, min_s=0)
+    return max(v for _, v in _covering_rules(L, s, r))
+
+
+def _covering_rules(L: int, s: int, r: int) -> list[tuple[str, int]]:
+    """Each covering-route bound of ``lb_covering_chain``, with its rule."""
     rules: list[tuple[str, int]] = []
     t = r + 2
     frac = ceil_div(binom(L, t), binom(L - s, t)) if binom(L - s, t) else binom(L, t)
@@ -88,10 +93,7 @@ def lb_covering_chain(L: int, s: int, r: int, with_rules: bool = False):
             for i in range(ell - 1, -1, -1):
                 value = ceil_div((L - i) * value, L - s - i)
             rules.append((f"lb.covering.chain[l={ell}]", value))
-    best = max(v for _, v in rules)
-    if with_rules:
-        return best, rules
-    return best
+    return rules
 
 
 def lb_mills(L: int, s: int, r: int) -> int:
@@ -197,8 +199,6 @@ def exact_n(L: int, s: int, r: int, with_rule: bool = False):
         if (L, s, r) in _SEARCH_REFUTED:
             hit = None
         elif (L, s, r) not in _SEARCH_CONFIRMED:
-            from . import construct  # deferred; construct does not import us
-
             sizes = [rec.size for rec in construct.available_recipes(L, s, r)]
             if min(sizes) != hit[1]:
                 hit = None
@@ -245,21 +245,19 @@ class BoundReport(JsonDoc):
 
 
 def best_lower(L: int, s: int, r: int) -> int:
-    return compute_report(L, s, r, recipes=()).best_lower
+    return compute_report(L, s, r).best_lower
 
 
-def compute_report(L: int, s: int, r: int, recipes=None) -> BoundReport:
-    """All applicable rules at (L, s, r) plus construction upper bounds.
+def compute_report(L: int, s: int, r: int) -> BoundReport:
+    """All applicable rules at (L, s, r) plus the catalog's upper bounds.
 
-    ``recipes`` is a sequence of (rule_name, size, recipe_dict) triples;
-    None means "ask the construction catalog".  Invariant (checked):
-    best_lower <= exact <= best_upper whenever the pieces exist.
+    Invariant (checked): best_lower <= exact <= best_upper whenever the
+    pieces exist.
     """
     _check(L, s, r)
     report = BoundReport(L, s, r)
     report.lower_bounds.append(("lb.repeat", lb_repeat(L, s, r)))
-    _, cov_rules = lb_covering_chain(L, s, r, with_rules=True)
-    report.lower_bounds.extend(cov_rules)
+    report.lower_bounds.extend(_covering_rules(L, s, r))
     report.lower_bounds.append(("lb.mills", lb_mills(L, s, r)))
     tod = lb_todorov(L, s, r, with_rule=True)
     if tod is not None:
@@ -272,15 +270,9 @@ def compute_report(L: int, s: int, r: int, recipes=None) -> BoundReport:
     if hit is not None:
         report.exact_rule, report.exact = hit
 
-    if recipes is None:
-        from . import construct  # deferred: construct imports bounds helpers
-
-        recipes = [
-            (rec.rule_label(), rec.size, rec.to_json_dict())
-            for rec in construct.available_recipes(L, s, r)
-        ]
-    for name, size, rec in recipes:
-        report.upper_bounds.append((name, size, rec))
+    for rec in construct.available_recipes(L, s, r):
+        report.upper_bounds.append(
+            (rec.rule_label(), rec.size, rec.to_json_dict()))
 
     if report.exact is not None:
         if report.best_lower > report.exact:

@@ -26,7 +26,7 @@ from .covering import (
     schoenheim_bound,
     verify_covering,
 )
-from .errors import CapacityError, FormatError, ParameterError
+from .errors import CapacityError, FormatError, ParameterError, read_text
 from .jsondoc import dumps
 from .protocol import load_database, run_simulation
 from .schemes import (
@@ -55,11 +55,9 @@ def _emit(doc, pretty: bool) -> None:
 
 
 def _load_json(path: str) -> dict:
+    text = read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -185,13 +183,8 @@ def cmd_sweep(args) -> int:
                 if s < 1 or r < 0 or L < 2 * s + r + 1:
                     continue
                 notes = []
-                try:
-                    report = bounds.compute_report(L, s, r)
-                    lo, up, ex = report.best_lower, report.best_upper, report.exact
-                except CapacityError as exc:
-                    writer.writerow([L, s, r, "", "", "", "", "", "",
-                                     f"bounds capacity: {exc}"])
-                    continue
+                report = bounds.compute_report(L, s, r)
+                lo, up, ex = report.best_lower, report.best_upper, report.exact
                 sv = None
                 if not args.no_search:
                     try:
@@ -312,6 +305,9 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true",
                         help="indent JSON output")
+    point = argparse.ArgumentParser(add_help=False)
+    for name in ("--L", "--s", "--r"):
+        point.add_argument(name, type=int, required=True)
 
     parser = _Parser(prog="ppric", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True,
@@ -326,11 +322,8 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int, help="check over a q-letter alphabet")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("construct", parents=[common],
+    p = sub.add_parser("construct", parents=[common, point],
                        help="build a code from the recipe catalog")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
     p.add_argument("--rule", help="keep only this recipe family")
     p.add_argument("--k", type=int, help="keep only recipes with this k")
     p.add_argument("--t", type=int, help="keep only recipes with this t")
@@ -338,25 +331,16 @@ def build_parser() -> _Parser:
                    help="list the kept recipes instead of building")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("bounds", parents=[common],
+    p = sub.add_parser("bounds", parents=[common, point],
                        help="every applicable bound at one parameter point")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("exact-n", parents=[common],
+    p = sub.add_parser("exact-n", parents=[common, point],
                        help="closed-form minimum size when one is on record")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
     p.set_defaults(func=cmd_exact_n)
 
-    p = sub.add_parser("search", parents=[common],
+    p = sub.add_parser("search", parents=[common, point],
                        help="exhaustive minimum-size search with witness")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
     p.add_argument("--size-cap", type=int, dest="size_cap")
     p.add_argument("--node-budget", type=int, dest="node_budget",
                    default=DEFAULT_NODE_BUDGET)

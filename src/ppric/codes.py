@@ -21,6 +21,7 @@ the two routes stay independent checks of one another.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -32,7 +33,6 @@ from .words import (
     SchemeParams,
     ball_vector,
     min_weight_member,
-    weight_vectors,
     xor_translate,
 )
 
@@ -381,14 +381,7 @@ def verify_enumeration(code: PpricCode) -> Verdict:
     word in the difference, ties to the smallest mask value.
     """
     L, s, r = code.params.L, code.params.s, code.params.r
-    if L > 24:
-        raise CapacityError(f"enumeration verification capped at L <= 24, got {L}")
-    ball_r = ball_vector(L, r)
-    ball_big = ball_vector(L, r + s)
-    inter = (1 << (1 << L)) - 1
-    for m in code.masks():
-        inter &= xor_translate(ball_big, m, L)
-    extra = inter & ~ball_r
+    extra = _ball_intersection(L, s, r, code.masks()) & ~ball_vector(L, r)
     if not extra:
         return Verdict(True, None, _enumeration_profile(code))
     y = min_weight_member(extra, L)
@@ -423,22 +416,27 @@ def full_sphere_identity_holds(L: int, s: int, r: int) -> bool:
         raise ParameterError("need 0 <= r < L")
     if s < 0 or s > L:
         raise ParameterError("need 0 <= s <= L")
-    if L > 24:
-        raise CapacityError(f"identity check capped at L <= 24, got {L}")
+    centres = (sum(1 << i for i in supp)
+               for supp in itertools.combinations(range(L), s))
+    return _ball_intersection(L, s, r, centres) == ball_vector(L, r)
+
+
+def _ball_intersection(L: int, s: int, r: int, centres) -> int:
+    """Characteristic vector of the intersection of B(c, r+s) over the
+    weight-s masks ``centres``, or of B(0, r) once it gets there.
+
+    Every such ball contains B(0, r), so once the running intersection
+    equals it, it stays equal and the remaining centres are skipped.
+    ``ball_vector`` raises CapacityError past L = 24.
+    """
     ball_r = ball_vector(L, r)
     ball_big = ball_vector(L, r + s)
     inter = (1 << (1 << L)) - 1
-    centers = weight_vectors(L)[s]
-    z = centers
-    while z:
-        low = z & -z
-        inter &= xor_translate(ball_big, low.bit_length() - 1, L)
-        z ^= low
+    for c in centres:
+        inter &= xor_translate(ball_big, c, L)
         if inter == ball_r:
-            # every ball contains B(0, r), so the intersection cannot shrink
-            # below it; once equal it stays equal
-            return True
-    return inter == ball_r
+            break
+    return inter
 
 
 def mippr_min_weight(code: PpricCode) -> int | None:

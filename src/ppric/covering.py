@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .cover import Budget, Cover
-from .errors import CapacityError, FormatError, ParameterError
+from .errors import CapacityError, FormatError, ParameterError, read_text
 from .words import ceil_div
 
 EXACT_N_CAP = 10
@@ -109,8 +109,8 @@ def exact_covering_number(
 
     A minimum cover of the t-subsets by the k-subsets, searched by the
     engine in ``cover`` with iterative deepening from the Schonheim value
-    (or 1 when k = t makes that bound inapplicable) and the first block
-    pinned to {1..k}, so the witness is deterministic.  Raises
+    (or 1 when k = t or k = n makes that bound inapplicable) and the first
+    block pinned to {1..k}, so the witness is deterministic.  Raises
     CapacityError after ``node_budget`` branch nodes; some small-n
     instances still have deep cover numbers and blow up well before the
     size caps bite.
@@ -123,7 +123,7 @@ def exact_covering_number(
         raise CapacityError("exact covering search capped at C(n,k) <= 2**16")
 
     blocks = list(itertools.combinations(range(1, n + 1), k))
-    lower = 1 if k == t else schoenheim_bound(n, k, t)
+    lower = schoenheim_bound(n, k, t) if n > k > t else 1
     got = _covering_cover(n, k, t).solve(lower, len(blocks),
                                          Budget(node_budget))
     if not return_witness:
@@ -179,8 +179,7 @@ def serialize_design(design: CoveringDesign) -> str:
 
 
 def load_design(path: str) -> CoveringDesign:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_design(fh.read())
+    return parse_design(read_text(path))
 
 
 # ---------------------------------------------------------------------------

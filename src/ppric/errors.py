@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the input-file reader
+that turns an unreadable file into one of them.
 
 Three failure families are kept apart so callers (and the CLI exit-code
 mapping) can tell bad input from blown resource caps:
@@ -26,3 +27,12 @@ class FormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of an input file; FormatError when it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc

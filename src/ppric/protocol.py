@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .codes import PpricCode, verify_exact
-from .errors import CapacityError, FormatError, ParameterError
+from .errors import CapacityError, FormatError, ParameterError, read_text
 from .jsondoc import JsonDoc
 from .schemes import JOHNSON_SCAN_CAP, JohnsonPpricCode, johnson_verify
 from .words import (
@@ -101,10 +101,7 @@ class Database:
 
     def neighborhood(self, x, radius: int) -> set[int]:
         """Ground-truth index set { m : d(x, record m) <= radius }."""
-        return {
-            m for m, rec in enumerate(self.records, start=1)
-            if distance(x, rec) <= radius
-        }
+        return server_answer(self, Query(x, radius))
 
     @classmethod
     def from_text(cls, text: str, kind: str = "binary", q: int = 2,
@@ -133,8 +130,7 @@ class Database:
 
 def load_database(path: str, kind: str = "binary", q: int = 2,
                   n: int = 0) -> Database:
-    with open(path, encoding="utf-8") as fh:
-        return Database.from_text(fh.read(), kind=kind, q=q, n=n)
+    return Database.from_text(read_text(path), kind=kind, q=q, n=n)
 
 
 @dataclass(frozen=True)
@@ -169,15 +165,6 @@ class ProtocolTranscript(JsonDoc):
 # ---------------------------------------------------------------------------
 # query generation
 # ---------------------------------------------------------------------------
-
-def _require_binary_code(x, code):
-    if not isinstance(code, PpricCode):
-        raise ParameterError("expected a Hamming-scheme code")
-    if x.length != code.params.L:
-        raise ParameterError(
-            f"record length {x.length} != code length {code.params.L}"
-        )
-
 
 def _binary_queries(x: BinaryWord, code: PpricCode, rng: SplitMix64):
     L = code.params.L
@@ -243,7 +230,12 @@ def _queries(x, code, rng: SplitMix64):
 
 def _check_code(x, code, allow_unverified: bool):
     if isinstance(x, (BinaryWord, QaryWord)):
-        _require_binary_code(x, code)
+        if not isinstance(code, PpricCode):
+            raise ParameterError("expected a Hamming-scheme code")
+        if x.length != code.params.L:
+            raise ParameterError(
+                f"record length {x.length} != code length {code.params.L}"
+            )
         if allow_unverified:
             return
         # a binary-verified code stays valid over any larger alphabet
@@ -325,9 +317,6 @@ def run_simulation(db: Database, x, r: int, code, seed: int,
     privacy = None
     if isinstance(x, BinaryWord):
         privacy = privacy_level(code.params.L, code.params.s)
-    for rec in db.records:
-        # fail fast on dimension mismatches before any server runs
-        distance(x, rec)
     answers = tuple(frozenset(server_answer(db, qu)) for qu in queries)
     return ProtocolTranscript(
         seed=seed,

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import bounds
-from .codes import PpricCode, mippr_min_weight, verify_exact
+from .codes import PpricCode, _gamma_range, mippr_min_weight, verify_exact
 from .cover import DEFAULT_NODE_BUDGET, Budget, Cover
 from .errors import CapacityError, ParameterError
 from .jsondoc import JsonDoc
@@ -62,8 +62,7 @@ class _Space(Cover):
             sum(1 << c for c in supp)
             for supp in itertools.combinations(range(L), s)
         ]
-        gmax = min(s, (L - r + 1) // 2)
-        gammas = list(range(1, gmax + 1))
+        gammas = _gamma_range(L, s, r)
         widths = [min(r + 2 * g, L) for g in gammas]
         if sum(binom(L, w) for w in widths) > UNIVERSE_CAP:
             raise CapacityError("element universe exceeds the search cap")
@@ -145,12 +144,10 @@ def minimal_codes_enumerate(L: int, s: int, r: int, m: int,
     return [space.make_code(ix) for ix in found]
 
 
-def _minimal_intersection_weights(code: PpricCode) -> dict[int, int] | None:
-    """Weight multiset of all support-minimal intersection words, or None
-    when the 2^L scan is out of reach."""
+def _minimal_intersection_weights(code: PpricCode) -> dict[int, int]:
+    """Weight multiset of all support-minimal intersection words, by a
+    scan of all 2^L words."""
     L = code.params.L
-    if L > 20:
-        return None
     masks = code.masks()
     hits_all = [False] * (1 << L)
     for v in range(1, 1 << L):

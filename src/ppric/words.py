@@ -17,6 +17,7 @@ open-ended scan.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -287,21 +288,14 @@ def enumerate_ball(center, radius: int) -> Iterator:
 def enumerate_weight_class(L: int, s: int) -> Iterator[BinaryWord]:
     """All binary length-L words of weight s, in support-lex order."""
     _check_binary_cap(L)
-    for supp in itertools.combinations(range(L), s):
-        m = 0
-        for i in supp:
-            m |= 1 << i
-        yield BinaryWord(L, m)
+    yield from enumerate_sphere(BinaryWord(L, 0), s)
 
 
 # ---------------------------------------------------------------------------
 # big-int characteristic vectors over F_2^L (bit y of the vector = word y)
 # ---------------------------------------------------------------------------
 
-_weight_vector_cache: dict[int, list[int]] = {}
-_level_mask_cache: dict[int, list[int]] = {}
-
-
+@functools.cache
 def weight_vectors(L: int) -> list[int]:
     """weight_vectors(L)[w] has bit y set iff popcount(y) == w.
 
@@ -309,8 +303,6 @@ def weight_vectors(L: int) -> list[int]:
     bit, so each class is the old class OR the (w-1)-class shifted by 2^l.
     """
     _check_binary_cap(L)
-    if L in _weight_vector_cache:
-        return _weight_vector_cache[L]
     vecs = [1]  # L = 0: the empty word has weight 0
     for ell in range(L):
         shift = 1 << ell
@@ -320,7 +312,6 @@ def weight_vectors(L: int) -> list[int]:
             hi = vecs[w - 1] if w >= 1 else 0
             nxt.append(lo | (hi << shift))
         vecs = nxt
-    _weight_vector_cache[L] = vecs
     return vecs
 
 
@@ -333,9 +324,8 @@ def ball_vector(L: int, radius: int) -> int:
     return out
 
 
+@functools.cache
 def _level_masks(L: int) -> list[int]:
-    if L in _level_mask_cache:
-        return _level_mask_cache[L]
     N = 1 << L
     full = (1 << N) - 1
     out = []
@@ -344,7 +334,6 @@ def _level_masks(L: int) -> list[int]:
         block = (1 << step) - 1
         rep = full // ((1 << (2 * step)) - 1)
         out.append(rep * block)
-    _level_mask_cache[L] = out
     return out
 
 

@@ -70,10 +70,12 @@ def test_exact_n_claims_only_certified_values():
 def test_deep_search_witnesses_replay():
     """Upper-bound halves of the two heavyweight search results.
 
-    Minimality needed 7.4e8 nodes at (12, 3, 2) and 1.6e9 at (12, 4, 1);
-    those runs are not repeated here, but the codes they found are.  The
-    first shows the closed-form value 7 is one short of reachable, the
-    second meets the catalog value."""
+    The codes below are the ones the first, unpruned searches found.  The
+    minimality halves run elsewhere in the suite: the (12, 3, 2) search
+    replays in test_search.py::test_replay_12_3_2_has_no_seven_word_code,
+    and (12, 4, 1) settles in acceptance criterion 05.  The first code
+    shows the closed-form value 7 is one short of reachable, the second
+    meets the catalog value."""
     from ppric.codes import make_code, verify_exact
 
     w = [[1, 2, 3], [1, 2, 8], [3, 8, 9], [4, 5, 6], [4, 5, 7], [4, 6, 7],

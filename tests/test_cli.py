@@ -96,9 +96,27 @@ def test_import_leaves_the_process_pool_unloaded():
 def test_verify_unreadable_file(capsys, tmp_path):
     junk = tmp_path / "junk.json"
     junk.write_text("{ not json")
-    rc, out, err = run(capsys, "verify", "--code", str(junk))
-    assert rc == 2
-    assert err.startswith("error: format:")
+    listing = tmp_path / "list.json"
+    listing.write_text("[]")  # JSON, but not an object
+    for path in (junk, listing, tmp_path / "missing.json"):
+        rc, out, err = run(capsys, "verify", "--code", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: format:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("template", [
+    ["simulate", "--db", "{missing}", "--code", "{code}", "--x", "110000"],
+    ["covering", "--design", "{missing}"],
+    ["johnson", "--product", "{missing}", "{missing}"],
+], ids=lambda argv: argv[0])
+def test_missing_input_file_is_one_stderr_line(capsys, tmp_path, code_file,
+                                               template):
+    missing = str(tmp_path / "missing.txt")
+    argv = [a.format(missing=missing, code=code_file) for a in template]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: format: cannot read {missing}: ")
+    assert err.count("\n") == 1
 
 
 def test_usage_error_is_one_stderr_line(capsys):
@@ -208,6 +226,19 @@ def test_sweep_csv(capsys):
     assert six["lower_le_upper"] == "yes" and six["exact_eq_search"] == "yes"
 
 
+def test_sweep_skips_inadmissible_points_and_notes_capacity(capsys):
+    rc, out, err = run(capsys, "sweep", "--L", "5..7", "--s", "2..3", "--r",
+                       "0", "--node-budget", "1")
+    assert rc == 0 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["L"], row["s"]) for row in rows] == [
+        ("5", "2"), ("6", "2"), ("7", "2"), ("7", "3")]
+    for row in rows:
+        assert row["search"] == ""
+        assert row["note"] == ("search capacity: search node budget 1 "
+                               "exceeded")
+
+
 def test_sweep_no_search_big_point(capsys):
     rc, out, err = run(capsys, "sweep", "--L", "33", "--s", "16", "--r", "0",
                        "--no-search")
@@ -296,6 +327,22 @@ def test_johnson_construct_verify_round_trip(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     rc2, verdict = jrun(capsys, "johnson", "--verify", str(path))
     assert rc2 == 0 and verdict["is_ppric"] is True
+
+
+def test_verify_reads_a_johnson_code_file(capsys, tmp_path):
+    rc, doc = jrun(capsys, "johnson", "--construct", "--n", "8", "--L", "4",
+                   "--s", "1", "--r", "0")
+    path = tmp_path / "j.json"
+    path.write_text(json.dumps(doc))
+    rc2, verdict = jrun(capsys, "verify", "--code", str(path))
+    assert rc2 == 0
+    assert verdict["method"] == "johnson" and verdict["is_ppric"] is True
+
+
+def test_johnson_verify_rejects_a_binary_code_file(capsys, code_file):
+    rc, out, err = run(capsys, "johnson", "--verify", code_file)
+    assert rc == 2 and out == ""
+    assert err == f"error: format: {code_file} is not a Johnson code file\n"
 
 
 def test_johnson_product(capsys, tmp_path):

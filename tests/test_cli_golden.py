@@ -75,6 +75,8 @@ CASES = [
     ["covering", "--exact", "--n", "11", "--k", "3", "--t", "2"],
     # k = t: deepening starts at 1
     ["covering", "--exact", "--n", "6", "--k", "3", "--t", "3"],
+    # k = n: one block covers everything, and no Schonheim bound applies
+    ["covering", "--exact", "--n", "5", "--k", "5", "--t", "2"],
     ["johnson", "--exact-check", "--n", "8", "--L", "4", "--s", "1",
      "--r", "0"],
     ["johnson", "--exact-check", "--n", "12", "--L", "4", "--s", "1",

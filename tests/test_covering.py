@@ -105,7 +105,7 @@ def test_instance_masks_match_definition(n, k, t):
 
 
 # every (n, k, t) with n <= 7 that exact_covering_number accepts
-COVERING_GRID = [(n, k, t) for n in range(2, 8) for k in range(1, n)
+COVERING_GRID = [(n, k, t) for n in range(2, 8) for k in range(1, n + 1)
                  for t in range(1, k + 1)]
 
 
