@@ -87,6 +87,10 @@ def _seed(text: str) -> int:
 def cmd_verify(args) -> int:
     code = _load_code(args.code)
     if isinstance(code, JohnsonPpricCode):
+        for flag, given in (("--q", args.q is not None),
+                            ("--enumerate", args.enumerate_oracle)):
+            if given:
+                raise ParameterError(f"{flag} does not apply to a Johnson code")
         method = "johnson"
         verdict = johnson_verify(code)
     elif args.q is not None:

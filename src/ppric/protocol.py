@@ -8,6 +8,19 @@ answers with the indices of its database records within the radius, and
 the intersection of the answers is exactly the radius-r neighborhood of
 the user's word whenever the code verifies.
 
+A server answers with one column scan over its whole database, bit-sliced
+across records (Biham, FSE 1997).  Every record is written as one row of
+characters: a binary word's bits, a q-ary word's symbols, or a Johnson
+word's characteristic vector over {1..n}.  For each column j and
+character c the database keeps, built on first use, one M-bit int whose
+bit M-m is set when record m does *not* carry c in column j.  A query's
+features are (column, character) pairs: every column of a Hamming-scheme
+word, and the element columns of a Johnson word with character "1".  The
+distance from the query to record m is the number of features the record
+lacks, so the scan adds the query's "lacks" planes into a vertical
+ripple-carry counter, compares the counter with the radius bit by bit,
+and reads the record indices off the resulting mask.
+
 Randomness comes from splitmix64 (Steele, Lea, and Flood's 64-bit mixer)
 driving a Fisher-Yates shuffle, so a transcript is reproducible from its
 seed on any platform.
@@ -15,6 +28,8 @@ seed on any platform.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +42,6 @@ from .words import (
     JohnsonWord,
     QaryWord,
     binom,
-    distance,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -86,20 +100,30 @@ class Database:
         if not self.records:
             raise ParameterError("a database needs at least one record")
         first = self.records[0]
+        shape = _shape(first)
         for rec in self.records[1:]:
             if type(rec) is not type(first):
                 raise ParameterError("mixed record kinds in one database")
+            if _shape(rec) != shape:
+                raise ParameterError(
+                    f"mixed record shapes in one database: {_shape(rec)} "
+                    f"after {shape}"
+                )
 
     @property
     def size(self) -> int:
         return len(self.records)
+
+    @functools.cached_property
+    def _columns(self) -> _Columns:
+        return _Columns(self.records)
 
     def record(self, m: int):
         if not 1 <= m <= len(self.records):
             raise ParameterError(f"record index {m} out of 1..{len(self.records)}")
         return self.records[m - 1]
 
-    def neighborhood(self, x, radius: int) -> set[int]:
+    def neighborhood(self, x, radius: int) -> frozenset[int]:
         """Ground-truth index set { m : d(x, record m) <= radius }."""
         return server_answer(self, Query(x, radius))
 
@@ -126,6 +150,103 @@ class Database:
         if not records:
             raise FormatError("no records in database text")
         return cls(tuple(records))
+
+
+def _shape(word) -> tuple:
+    """What a query and a record must share to be compared."""
+    if isinstance(word, BinaryWord):
+        return ("binary", word.length)
+    if isinstance(word, QaryWord):
+        return ("qary", word.q, word.length)
+    if isinstance(word, JohnsonWord):
+        return ("johnson", word.n, word.length)
+    raise ParameterError(f"not a scheme word: {word!r}")
+
+
+def _rows(words) -> list[str]:
+    """Each word of one shape as a row of characters, one per column.
+
+    Column j holds coordinate L-j of a binary word, chr() of symbol j+1 of
+    a q-ary word, and "1" for a Johnson word exactly when element n-j
+    belongs to it.
+    """
+    kind, first, *_ = _shape(words[0])
+    if kind == "binary":
+        fmt = f"0{first}b"
+        return [format(w.mask, fmt) for w in words]
+    if kind == "qary":
+        return ["".join(map(chr, w.symbols)) for w in words]
+    fmt = f"0{first}b"
+    return [format(sum(1 << (e - 1) for e in w.elements), fmt) for w in words]
+
+
+def _features(word) -> list[tuple[int, str]]:
+    """(column, character) pairs; a record's distance is how many it lacks."""
+    if isinstance(word, JohnsonWord):
+        return [(word.n - e, "1") for e in word.elements]
+    return list(enumerate(_rows([word])[0]))
+
+
+class _Columns:
+    """The database transposed: one string per column, planes on demand."""
+
+    def __init__(self, records):
+        self.shape = _shape(records[0])
+        rows = _rows(records)
+        width = len(rows[0])
+        text = "".join(rows)
+        self.size = len(rows)
+        self.full = (1 << self.size) - 1
+        # shared index objects: compress() then makes no new ints
+        self.indices = tuple(range(1, self.size + 1))
+        self.columns = [text[j::width] for j in range(width)]
+        alphabet = set(text) if self.shape[0] == "qary" else "01"
+        # every character in the columns marks a lack unless overridden
+        self._lacking = dict.fromkeys(map(ord, alphabet), "1")
+        self._planes = {}
+
+    def lacks(self, column: int, char: str) -> int:
+        """Bit M-m set iff record m does not carry ``char`` in ``column``."""
+        key = (column, char)
+        plane = self._planes.get(key)
+        if plane is None:
+            table = {**self._lacking, ord(char): "0"}
+            plane = int(self.columns[column].translate(table), 2)
+            self._planes[key] = plane
+        return plane
+
+
+def _at_most(planes, radius: int, full: int) -> int:
+    """Lanes of ``full`` set in at most ``radius`` of the planes.
+
+    A vertical counter: digits[b] holds bit b of every lane's count, and
+    each plane is added with a ripple carry that stops once it dies out.
+    The comparison with the radius then runs from the top digit down.
+    """
+    digits = []
+    for carry in planes:
+        for b, digit in enumerate(digits):
+            digits[b] = digit ^ carry
+            carry &= digit
+            if not carry:
+                break
+        else:
+            if carry:
+                digits.append(carry)
+    if radius >> len(digits):
+        return full
+    below, equal = 0, full
+    for b in reversed(range(len(digits))):
+        if radius >> b & 1:
+            below |= equal & ~digits[b]
+            equal &= digits[b]
+        else:
+            equal &= ~digits[b]
+    return below | equal
+
+
+# record m's bit of a scan mask, printed as '0' or '1', becomes 0 or 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def load_database(path: str, kind: str = "binary", q: int = 2,
@@ -275,12 +396,25 @@ def generate_queries(x, code, seed: int,
     return _queries(x, code, SplitMix64(seed))[1]
 
 
-def server_answer(db: Database, query: Query) -> set[int]:
-    """Indices of records within the query radius; one server's whole job."""
-    return {
-        m for m, rec in enumerate(db.records, start=1)
-        if distance(query.vector, rec) <= query.radius
-    }
+def server_answer(db: Database, query: Query) -> frozenset[int]:
+    """Indices of records within the query radius; one server's whole job.
+
+    One bit-sliced column scan over every record at once (see the module
+    docstring).
+    """
+    index = db._columns
+    shape = _shape(query.vector)
+    if shape != index.shape:
+        raise ParameterError(
+            f"query {shape} does not match the database's records "
+            f"{index.shape}"
+        )
+    if query.radius < 0:
+        return frozenset()
+    planes = (index.lacks(j, c) for j, c in _features(query.vector))
+    hit = _at_most(planes, query.radius, index.full)
+    bits = format(hit, f"0{index.size}b").encode().translate(_BIT_BYTES)
+    return frozenset(itertools.compress(index.indices, bits))
 
 
 def reconstruct(answers) -> set[int]:
@@ -289,8 +423,7 @@ def reconstruct(answers) -> set[int]:
     if not answers:
         raise ParameterError("reconstruction needs at least one answer")
     out = set(answers[0])
-    for a in answers[1:]:
-        out &= set(a)
+    out.intersection_update(*answers[1:])
     return out
 
 
@@ -317,7 +450,7 @@ def run_simulation(db: Database, x, r: int, code, seed: int,
     privacy = None
     if isinstance(x, BinaryWord):
         privacy = privacy_level(code.params.L, code.params.s)
-    answers = tuple(frozenset(server_answer(db, qu)) for qu in queries)
+    answers = tuple(server_answer(db, qu) for qu in queries)
     return ProtocolTranscript(
         seed=seed,
         permutation=perm,

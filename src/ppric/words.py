@@ -184,6 +184,8 @@ def hamming_distance(a, b) -> int:
 
 
 def johnson_distance(a: JohnsonWord, b: JohnsonWord) -> int:
+    if not (isinstance(a, JohnsonWord) and isinstance(b, JohnsonWord)):
+        raise ParameterError("johnson_distance wants two Johnson words")
     if a.n != b.n or a.length != b.length:
         raise ParameterError("ambient set or weight mismatch")
     return len(a.elements - b.elements)

@@ -339,6 +339,18 @@ def test_verify_reads_a_johnson_code_file(capsys, tmp_path):
     assert verdict["method"] == "johnson" and verdict["is_ppric"] is True
 
 
+@pytest.mark.parametrize("flag", [["--q", "3"], ["--enumerate"]])
+def test_verify_refuses_hamming_flags_on_a_johnson_code(capsys, tmp_path,
+                                                        flag):
+    rc, doc = jrun(capsys, "johnson", "--construct", "--n", "8", "--L", "4",
+                   "--s", "1", "--r", "0")
+    path = tmp_path / "j.json"
+    path.write_text(json.dumps(doc))
+    rc2, out, err = run(capsys, "verify", "--code", str(path), *flag)
+    assert rc2 == 2 and out == ""
+    assert err.count("\n") == 1 and flag[0] in err
+
+
 def test_johnson_verify_rejects_a_binary_code_file(capsys, code_file):
     rc, out, err = run(capsys, "johnson", "--verify", code_file)
     assert rc == 2 and out == ""

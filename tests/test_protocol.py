@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppric.codes import make_code, verify_exact
 from ppric.construct import build_disjoint
 from ppric.errors import FormatError, ParameterError
 from ppric.protocol import (
     Database,
+    Query,
     SplitMix64,
     generate_queries,
     privacy_level,
@@ -17,7 +19,7 @@ from ppric.protocol import (
 )
 from ppric.schemes import johnson_construction
 from ppric.search import exact_n_search
-from ppric.words import BinaryWord, JohnsonWord, QaryWord, distance
+from ppric.words import BinaryWord, JohnsonWord, QaryWord, diameter, distance
 
 
 # -- rng ---------------------------------------------------------------
@@ -104,6 +106,19 @@ def test_from_text_other_kinds():
 def test_mixed_kinds_rejected():
     with pytest.raises(ParameterError):
         Database((BinaryWord(4, 3), QaryWord(3, (0, 1, 2, 0))))
+    # one kind, mixed shapes
+    with pytest.raises(ParameterError):
+        Database((BinaryWord(4, 3), BinaryWord(5, 3)))
+    with pytest.raises(ParameterError):
+        Database((QaryWord(3, (0, 1, 2)), QaryWord(4, (0, 1, 2))))
+    with pytest.raises(ParameterError):
+        Database((QaryWord(3, (0, 1, 2)), QaryWord(3, (0, 1))))
+    with pytest.raises(ParameterError):
+        Database((JohnsonWord(8, frozenset({1, 2})),
+                  JohnsonWord(9, frozenset({1, 2}))))
+    with pytest.raises(ParameterError):
+        Database((JohnsonWord(8, frozenset({1, 2})),
+                  JohnsonWord(8, frozenset({1, 2, 3}))))
 
 
 def test_neighborhood():
@@ -112,6 +127,59 @@ def test_neighborhood():
     assert db.neighborhood(x, 0) == {1}
     assert db.neighborhood(x, 1) == {1, 4}
     assert db.neighborhood(x, 4) == {1, 2, 3, 4}
+
+
+# -- the column scan against the distance oracle ------------------------
+
+SCAN_KINDS = [("binary", 2), ("qary", 3), ("qary", 5), ("johnson", 2)]
+
+
+def random_word(kind, q, L, n, rnd):
+    if kind == "binary":
+        return BinaryWord(L, rnd.getrandbits(L))
+    if kind == "qary":
+        return QaryWord(q, tuple(rnd.randrange(q) for _ in range(L)))
+    return JohnsonWord(n, frozenset(rnd.sample(range(1, n + 1), L)))
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 300])
+@pytest.mark.parametrize("kind,q", SCAN_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(L=st.integers(1, 9), extra=st.integers(0, 3),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_scan_matches_distance_oracle(kind, q, size, L, extra, seed, data):
+    rnd = random.Random(seed)
+    n = 2 * L + extra
+    x = random_word(kind, q, L, n, rnd)
+    records = [random_word(kind, q, L, n, rnd) for _ in range(size)]
+    records[rnd.randrange(size)] = x  # one record equals the query
+    db = Database(tuple(records))
+    diam = diameter(kind, L, n=n)
+    radius = data.draw(st.sampled_from([-1, 0, diam, diam + 2])
+                       | st.integers(0, diam), label="radius")
+    got = server_answer(db, Query(x, radius))
+    assert isinstance(got, frozenset)
+    assert got == {m for m, rec in enumerate(records, start=1)
+                   if distance(x, rec) <= radius}
+    if radius < 0:
+        assert got == frozenset()
+    if radius >= diam:
+        assert got == frozenset(range(1, size + 1))
+
+
+def test_scan_rejects_a_query_of_another_shape():
+    db = Database.from_text("0,1,2\n2,1,0\n", kind="qary", q=3)
+    with pytest.raises(ParameterError):
+        server_answer(db, Query(QaryWord(4, (0, 1, 2)), 1))
+    with pytest.raises(ParameterError):
+        server_answer(db, Query(BinaryWord(3, 0), 1))
+
+
+def test_johnson_point_against_a_binary_database():
+    with pytest.raises(ParameterError):
+        run_simulation(Database.from_text("11110000\n"),
+                       JohnsonWord.from_string(8, "{1,2,3,4}"), 0,
+                       johnson_construction(8, 4, 1, 0), seed=1)
 
 
 # -- end to end reconstruction -----------------------------------------
@@ -261,6 +329,11 @@ def test_reconstruct_guards():
     with pytest.raises(ParameterError):
         reconstruct([])
     assert reconstruct([{1, 2, 3}, {2, 3}, {2, 4, 3}]) == {2, 3}
+    # any iterables, including one-shot iterators
+    assert reconstruct(iter([[1, 2, 3], iter((3, 2)), (2, 4, 3)])) == {2, 3}
+    first = {1, 2}
+    assert reconstruct([first, {2}]) == {2}
+    assert first == {1, 2}  # intersected in a copy, not in the caller's set
 
 
 def test_radius_must_match_code():

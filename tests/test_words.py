@@ -85,6 +85,11 @@ def test_distances():
     assert distance(ja, jb) == 2
     with pytest.raises(ParameterError):
         distance(a, BinaryWord.from_string("11000"))
+    # both argument kinds are checked, as hamming_distance does
+    with pytest.raises(ParameterError):
+        johnson_distance(ja, BinaryWord.from_string("11110000"))
+    with pytest.raises(ParameterError):
+        johnson_distance(BinaryWord.from_string("11110000"), ja)
 
 
 def test_diameter():
