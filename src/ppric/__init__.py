@@ -72,6 +72,7 @@ from .protocol import (
     load_database,
     privacy_level,
     reconstruct,
+    records_of,
     run_simulation,
     server_answer,
 )

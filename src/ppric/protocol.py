@@ -4,22 +4,23 @@ One server per codeword.  The user draws a random coordinate permutation,
 applies it to every codeword (the same permutation for all servers, which
 is what the privacy analysis assumes), translates by the user's own word,
 and sends each server one proximity query of radius r+s.  Each server
-answers with the indices of its database records within the radius, and
-the intersection of the answers is exactly the radius-r neighborhood of
-the user's word whenever the code verifies.
+answers with its database records within the radius, and the
+intersection of the answers is exactly the radius-r neighborhood of the
+user's word whenever the code verifies.
 
 A server answers with one column scan over its whole database, bit-sliced
 across records (Biham, FSE 1997).  Every record is written as one row of
 characters: a binary word's bits, a q-ary word's symbols, or a Johnson
 word's characteristic vector over {1..n}.  For each column j and
 character c the database keeps, built on first use, one M-bit int whose
-bit M-m is set when record m does *not* carry c in column j.  A query's
+bit m-1 is set when record m does *not* carry c in column j.  A query's
 features are (column, character) pairs: every column of a Hamming-scheme
 word, and the element columns of a Johnson word with character "1".  The
 distance from the query to record m is the number of features the record
 lacks, so the scan adds the query's "lacks" planes into a vertical
-ripple-carry counter, compares the counter with the radius bit by bit,
-and reads the record indices off the resulting mask.
+ripple-carry counter and compares the counter with the radius bit by bit.
+The answer is the resulting record mask, and reconstruction ANDs the
+masks; ``records_of`` turns a mask into record indices.
 
 Randomness comes from splitmix64 (Steele, Lea, and Flood's 64-bit mixer)
 driving a Fisher-Yates shuffle, so a transcript is reproducible from its
@@ -31,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .codes import PpricCode, verify_exact
@@ -125,7 +127,7 @@ class Database:
 
     def neighborhood(self, x, radius: int) -> frozenset[int]:
         """Ground-truth index set { m : d(x, record m) <= radius }."""
-        return server_answer(self, Query(x, radius))
+        return records_of(server_answer(self, Query(x, radius)))
 
     @classmethod
     def from_text(cls, text: str, kind: str = "binary", q: int = 2,
@@ -197,16 +199,15 @@ class _Columns:
         text = "".join(rows)
         self.size = len(rows)
         self.full = (1 << self.size) - 1
-        # shared index objects: compress() then makes no new ints
-        self.indices = tuple(range(1, self.size + 1))
-        self.columns = [text[j::width] for j in range(width)]
+        # reversed, so that record m lands on bit m-1 of int(column, 2)
+        self.columns = [text[j::width][::-1] for j in range(width)]
         alphabet = set(text) if self.shape[0] == "qary" else "01"
         # every character in the columns marks a lack unless overridden
         self._lacking = dict.fromkeys(map(ord, alphabet), "1")
         self._planes = {}
 
     def lacks(self, column: int, char: str) -> int:
-        """Bit M-m set iff record m does not carry ``char`` in ``column``."""
+        """Bit m-1 set iff record m does not carry ``char`` in ``column``."""
         key = (column, char)
         plane = self._planes.get(key)
         if plane is None:
@@ -245,8 +246,14 @@ def _at_most(planes, radius: int, full: int) -> int:
     return below | equal
 
 
-# record m's bit of a scan mask, printed as '0' or '1', becomes 0 or 1
+# a mask's bits, printed as '0' or '1', become bytes 0 or 1
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def records_of(mask: int) -> frozenset[int]:
+    """Record indices of a record mask: bit m-1 stands for record m."""
+    bits = format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
+    return frozenset(itertools.compress(itertools.count(1), bits))
 
 
 def load_database(path: str, kind: str = "binary", q: int = 2,
@@ -268,9 +275,14 @@ class ProtocolTranscript(JsonDoc):
     seed: int
     permutation: object
     queries: tuple[Query, ...]
-    answers: tuple[frozenset[int], ...]
+    answer_masks: tuple[int, ...]
     reconstructed: frozenset[int]
     privacy_level: float | None
+
+    @property
+    def answers(self) -> tuple[frozenset[int], ...]:
+        """Each server's answer as record indices."""
+        return tuple(map(records_of, self.answer_masks))
 
     def to_json_dict(self) -> dict:
         return {
@@ -287,7 +299,9 @@ class ProtocolTranscript(JsonDoc):
 # query generation
 # ---------------------------------------------------------------------------
 
-def _binary_queries(x: BinaryWord, code: PpricCode, rng: SplitMix64):
+def _hamming_queries(x, code: PpricCode, rng: SplitMix64):
+    """Each codeword under one shared shuffle, translated by x: XOR for a
+    binary x, +1 mod q on the codeword's ones for a q-ary x."""
     L = code.params.L
     radius = code.params.r + code.params.s
     perm = shuffled(range(L), rng)
@@ -296,20 +310,12 @@ def _binary_queries(x: BinaryWord, code: PpricCode, rng: SplitMix64):
         pz = 0
         for dst in range(L):
             pz |= (z >> perm[dst] & 1) << dst
-        queries.append(Query(BinaryWord(L, x.mask ^ pz), radius))
-    return [p + 1 for p in perm], queries
-
-
-def _qary_queries(x: QaryWord, code: PpricCode, rng: SplitMix64):
-    L, q = x.length, x.q
-    radius = code.params.r + code.params.s
-    perm = shuffled(range(L), rng)
-    queries = []
-    for z in code.masks():
-        symbols = tuple(
-            (x.symbols[dst] + (z >> perm[dst] & 1)) % q for dst in range(L)
-        )
-        queries.append(Query(QaryWord(q, symbols), radius))
+        if isinstance(x, BinaryWord):
+            word = BinaryWord(L, x.mask ^ pz)
+        else:
+            word = QaryWord(x.q, tuple((a + (pz >> dst & 1)) % x.q
+                                       for dst, a in enumerate(x.symbols)))
+        queries.append(Query(word, radius))
     return [p + 1 for p in perm], queries
 
 
@@ -342,11 +348,9 @@ def _johnson_queries(x: JohnsonWord, code: JohnsonPpricCode, rng: SplitMix64):
 
 def _queries(x, code, rng: SplitMix64):
     """The permutation drawn and one query per codeword, in x's scheme."""
-    if isinstance(x, BinaryWord):
-        return _binary_queries(x, code, rng)
-    if isinstance(x, QaryWord):
-        return _qary_queries(x, code, rng)
-    return _johnson_queries(x, code, rng)
+    if isinstance(x, JohnsonWord):
+        return _johnson_queries(x, code, rng)
+    return _hamming_queries(x, code, rng)
 
 
 def _check_code(x, code, allow_unverified: bool):
@@ -357,31 +361,26 @@ def _check_code(x, code, allow_unverified: bool):
             raise ParameterError(
                 f"record length {x.length} != code length {code.params.L}"
             )
-        if allow_unverified:
-            return
         # a binary-verified code stays valid over any larger alphabet
-        if not verify_exact(code).is_ppric:
-            raise ParameterError(
-                "code failed verification; pass allow_unverified=True to "
-                "simulate with it anyway"
-            )
+        verify = verify_exact
     elif isinstance(x, JohnsonWord):
         if not isinstance(code, JohnsonPpricCode):
             raise ParameterError("expected a Johnson-scheme code")
-        if allow_unverified:
-            return
-        if binom(code.n, code.L) > JOHNSON_SCAN_CAP:
-            raise CapacityError(
-                "code too large to verify by enumeration; pass "
-                "allow_unverified=True to simulate without the check"
-            )
-        if not johnson_verify(code).is_ppric:
-            raise ParameterError(
-                "code failed verification; pass allow_unverified=True to "
-                "simulate with it anyway"
-            )
+        verify = johnson_verify
     else:
         raise ParameterError(f"not a scheme word: {x!r}")
+    if allow_unverified:
+        return
+    if isinstance(x, JohnsonWord) and binom(code.n, code.L) > JOHNSON_SCAN_CAP:
+        raise CapacityError(
+            "code too large to verify by enumeration; pass "
+            "allow_unverified=True to simulate without the check"
+        )
+    if not verify(code).is_ppric:
+        raise ParameterError(
+            "code failed verification; pass allow_unverified=True to "
+            "simulate with it anyway"
+        )
 
 
 def generate_queries(x, code, seed: int,
@@ -396,8 +395,9 @@ def generate_queries(x, code, seed: int,
     return _queries(x, code, SplitMix64(seed))[1]
 
 
-def server_answer(db: Database, query: Query) -> frozenset[int]:
-    """Indices of records within the query radius; one server's whole job.
+def server_answer(db: Database, query: Query) -> int:
+    """Mask of the records within the query radius, bit m-1 for record m;
+    one server's whole job.
 
     One bit-sliced column scan over every record at once (see the module
     docstring).
@@ -410,21 +410,17 @@ def server_answer(db: Database, query: Query) -> frozenset[int]:
             f"{index.shape}"
         )
     if query.radius < 0:
-        return frozenset()
+        return 0
     planes = (index.lacks(j, c) for j, c in _features(query.vector))
-    hit = _at_most(planes, query.radius, index.full)
-    bits = format(hit, f"0{index.size}b").encode().translate(_BIT_BYTES)
-    return frozenset(itertools.compress(index.indices, bits))
+    return _at_most(planes, query.radius, index.full)
 
 
-def reconstruct(answers) -> set[int]:
-    """Intersection of the per-server answer sets."""
-    answers = list(answers)
-    if not answers:
+def reconstruct(masks) -> int:
+    """The records in every server's answer: the AND of the answer masks."""
+    masks = list(masks)
+    if not masks:
         raise ParameterError("reconstruction needs at least one answer")
-    out = set(answers[0])
-    out.intersection_update(*answers[1:])
-    return out
+    return functools.reduce(operator.and_, masks)
 
 
 def privacy_level(L: int, s: int) -> float:
@@ -450,12 +446,12 @@ def run_simulation(db: Database, x, r: int, code, seed: int,
     privacy = None
     if isinstance(x, BinaryWord):
         privacy = privacy_level(code.params.L, code.params.s)
-    answers = tuple(server_answer(db, qu) for qu in queries)
+    masks = tuple(server_answer(db, qu) for qu in queries)
     return ProtocolTranscript(
         seed=seed,
         permutation=perm,
         queries=tuple(queries),
-        answers=answers,
-        reconstructed=frozenset(reconstruct(answers)),
+        answer_masks=masks,
+        reconstructed=records_of(reconstruct(masks)),
         privacy_level=privacy,
     )

@@ -27,7 +27,6 @@ from .words import BinaryWord, SchemeParams, binom
 
 POOL_CAP = 5000
 UNIVERSE_CAP = 60_000
-COVER_WORK_CAP = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -66,14 +65,6 @@ class _Space(Cover):
         widths = [min(r + 2 * g, L) for g in gammas]
         if sum(binom(L, w) for w in widths) > UNIVERSE_CAP:
             raise CapacityError("element universe exceeds the search cap")
-
-        # per-candidate cover count is the same for every weight-s word
-        per_cand = sum(
-            binom(s, i) * binom(L - s, w - i)
-            for g, w in zip(gammas, widths) for i in range(g)
-        )
-        if per_cand * len(self.pool) > COVER_WORK_CAP:
-            raise CapacityError("cover-mask precomputation exceeds the work cap")
 
         # one segment per gamma: the width-w coordinate sets P, bound gamma;
         # every coordinate permutation maps the instance onto itself

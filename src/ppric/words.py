@@ -66,13 +66,11 @@ class BinaryWord:
 
     @classmethod
     def from_string(cls, text: str) -> "BinaryWord":
-        if not text or any(ch not in "01" for ch in text):
+        # checked first: int() would also take "_", signs and whitespace
+        if not text or not set(text) <= {"0", "1"}:
             raise FormatError(f"not a binary word literal: {text!r}")
-        mask = 0
-        for i, ch in enumerate(text):  # leftmost character = coordinate 1
-            if ch == "1":
-                mask |= 1 << i
-        return cls(len(text), mask)
+        # leftmost character = coordinate 1 = bit 0
+        return cls(len(text), int(text[::-1], 2))
 
     @classmethod
     def from_support(cls, length: int, support) -> "BinaryWord":
@@ -84,7 +82,7 @@ class BinaryWord:
         return cls(length, mask)
 
     def to_string(self) -> str:
-        return "".join("1" if self.mask >> i & 1 else "0" for i in range(self.length))
+        return format(self.mask, f"0{self.length}b")[::-1] if self.length else ""
 
     @property
     def weight(self) -> int:

@@ -13,6 +13,7 @@ from ppric.protocol import (
     generate_queries,
     privacy_level,
     reconstruct,
+    records_of,
     run_simulation,
     server_answer,
     shuffled,
@@ -158,13 +159,16 @@ def test_scan_matches_distance_oracle(kind, q, size, L, extra, seed, data):
     radius = data.draw(st.sampled_from([-1, 0, diam, diam + 2])
                        | st.integers(0, diam), label="radius")
     got = server_answer(db, Query(x, radius))
-    assert isinstance(got, frozenset)
-    assert got == {m for m, rec in enumerate(records, start=1)
-                   if distance(x, rec) <= radius}
+    assert isinstance(got, int)
+    truth = {m for m, rec in enumerate(records, start=1)
+             if distance(x, rec) <= radius}
+    assert records_of(got) == truth
+    # bit m-1 of the mask is record m
+    assert got == sum(1 << (m - 1) for m in truth)
     if radius < 0:
-        assert got == frozenset()
+        assert got == 0
     if radius >= diam:
-        assert got == frozenset(range(1, size + 1))
+        assert got == (1 << size) - 1
 
 
 def test_scan_rejects_a_query_of_another_shape():
@@ -263,9 +267,10 @@ def test_answers_are_per_server():
     db = random_binary_db(6, 20, seed=5)
     x = BinaryWord.from_string("000011")
     tr = run_simulation(db, x, 0, code, seed=11)
-    assert len(tr.answers) == code.size
-    for qu, ans in zip(tr.queries, tr.answers):
-        assert server_answer(db, qu) == set(ans)
+    assert len(tr.answer_masks) == code.size
+    for qu, mask in zip(tr.queries, tr.answer_masks):
+        assert server_answer(db, qu) == mask
+    assert tr.answers == tuple(map(records_of, tr.answer_masks))
     assert tr.reconstructed == frozenset.intersection(*tr.answers)
 
 
@@ -328,12 +333,22 @@ def test_false_positive_demonstration():
 def test_reconstruct_guards():
     with pytest.raises(ParameterError):
         reconstruct([])
-    assert reconstruct([{1, 2, 3}, {2, 3}, {2, 4, 3}]) == {2, 3}
-    # any iterables, including one-shot iterators
-    assert reconstruct(iter([[1, 2, 3], iter((3, 2)), (2, 4, 3)])) == {2, 3}
-    first = {1, 2}
-    assert reconstruct([first, {2}]) == {2}
-    assert first == {1, 2}  # intersected in a copy, not in the caller's set
+    with pytest.raises(ParameterError):
+        reconstruct(iter([]))
+    # records {1,2,3}, {2,3} and {2,3,4} as masks: bit m-1 is record m
+    assert reconstruct([0b0111, 0b0110, 0b1110]) == 0b0110
+    assert records_of(reconstruct([0b0111, 0b0110, 0b1110])) == {2, 3}
+    # any iterable, including a one-shot iterator
+    assert reconstruct(m for m in (0b0111, 0b0110, 0b1110)) == 0b0110
+    assert reconstruct([0b101]) == 0b101
+    assert reconstruct([0b101, 0b010]) == 0
+
+
+def test_records_of():
+    assert records_of(0) == frozenset()
+    assert records_of(1) == {1}
+    assert records_of(0b1010) == {2, 4}
+    assert records_of((1 << 300) - 1) == frozenset(range(1, 301))
 
 
 def test_radius_must_match_code():

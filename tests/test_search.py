@@ -144,8 +144,10 @@ def test_universe_and_work_caps():
     # universe C(17,5)+C(17,7)+C(17,9)+C(17,11) = 62,322 > UNIVERSE_CAP
     with pytest.raises(CapacityError, match="universe"):
         exact_n_search(17, 4, 3)
-    with pytest.raises(CapacityError, match="work cap"):
-        exact_n_search(15, 5, 0)
+    # 3003 candidates by 15,913 elements: within both caps, and settled
+    res = exact_n_search(15, 5, 0)
+    assert res.n_exact == 3
+    assert verify_exact(res.witness).is_ppric
 
 
 @pytest.mark.parametrize("L,s,r", [(7, 3, 0), (9, 3, 1), (8, 2, 3)])

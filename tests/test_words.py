@@ -45,10 +45,11 @@ def test_binary_word_roundtrip():
     assert w.to_string() == "10110"
     # leftmost character is coordinate 1
     assert w.mask & 1
-    with pytest.raises(FormatError):
-        BinaryWord.from_string("10x1")
-    with pytest.raises(FormatError):
-        BinaryWord.from_string("")
+    # a literal is only 0s and 1s, though int() also takes "_", signs, spaces
+    for text in ("10x1", "", "0_1", "+1", " 01", "01 ", "-1", "0b1"):
+        with pytest.raises(FormatError):
+            BinaryWord.from_string(text)
+    assert BinaryWord(0, 0).to_string() == ""
 
 
 def test_qary_word_roundtrip():
