@@ -14,6 +14,7 @@ valid ``--code`` file for ``verify`` and ``simulate``, and ``johnson
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -305,6 +306,7 @@ def _require_nlsr(args) -> None:
 # parser assembly
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process; parse_args keeps no state
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true",
@@ -416,8 +418,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FormatError as exc:

@@ -17,8 +17,9 @@ bit m-1 is set when record m does *not* carry c in column j.  A query's
 features are (column, character) pairs: every column of a Hamming-scheme
 word, and the element columns of a Johnson word with character "1".  The
 distance from the query to record m is the number of features the record
-lacks, so the scan adds the query's "lacks" planes into a vertical
-ripple-carry counter and compares the counter with the radius bit by bit.
+lacks, so the scan adds the query's "lacks" planes into the vertical
+ripple-carry counter ``words._at_most``, which the identity scans in
+``schemes`` share, and compares the counter with the radius bit by bit.
 The answer is the resulting record mask, and reconstruction ANDs the
 masks; ``records_of`` turns a mask into record indices.
 
@@ -39,12 +40,7 @@ from .codes import PpricCode, verify_exact
 from .errors import CapacityError, FormatError, ParameterError, read_text
 from .jsondoc import JsonDoc
 from .schemes import JOHNSON_SCAN_CAP, JohnsonPpricCode, johnson_verify
-from .words import (
-    BinaryWord,
-    JohnsonWord,
-    QaryWord,
-    binom,
-)
+from .words import BinaryWord, JohnsonWord, QaryWord, _at_most, binom
 
 _MASK64 = (1 << 64) - 1
 
@@ -217,35 +213,6 @@ class _Columns:
         return plane
 
 
-def _at_most(planes, radius: int, full: int) -> int:
-    """Lanes of ``full`` set in at most ``radius`` of the planes.
-
-    A vertical counter: digits[b] holds bit b of every lane's count, and
-    each plane is added with a ripple carry that stops once it dies out.
-    The comparison with the radius then runs from the top digit down.
-    """
-    digits = []
-    for carry in planes:
-        for b, digit in enumerate(digits):
-            digits[b] = digit ^ carry
-            carry &= digit
-            if not carry:
-                break
-        else:
-            if carry:
-                digits.append(carry)
-    if radius >> len(digits):
-        return full
-    below, equal = 0, full
-    for b in reversed(range(len(digits))):
-        if radius >> b & 1:
-            below |= equal & ~digits[b]
-            equal &= digits[b]
-        else:
-            equal &= ~digits[b]
-    return below | equal
-
-
 # a mask's bits, printed as '0' or '1', become bytes 0 or 1
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -409,8 +376,6 @@ def server_answer(db: Database, query: Query) -> int:
             f"query {shape} does not match the database's records "
             f"{index.shape}"
         )
-    if query.radius < 0:
-        return 0
     planes = (index.lacks(j, c) for j, c in _features(query.vector))
     return _at_most(planes, query.radius, index.full)
 

@@ -4,11 +4,14 @@ The ball-intersection identity B(x,r) = intersection of B(z,r+s) over the
 distance-s sphere holds in any symmetric scheme whose diameter is at least
 r+2s+1, so proximity codes carry over with the metric swapped.  Everything
 here runs at enumeration scale: spaces are scanned outright and verdicts
-are definitional.
+are definitional.  An identity scan gives each word of the space, in
+``itertools`` order, one bit lane, and counts on ``words._at_most``, the
+bit-lane counter of the protocol's server scan.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -22,6 +25,9 @@ from .words import (
     BinaryWord,
     JohnsonWord,
     QaryWord,
+    _at_most,
+    _johnson_plane,
+    _qary_plane,
     binom,
     diameter,
     enumerate_ball,
@@ -35,26 +41,44 @@ JOHNSON_SCAN_CAP = 1 << 18
 
 
 # ---------------------------------------------------------------------------
-# the sphere identity, checked by full enumeration
+# the sphere identity, checked over the whole space at once
 # ---------------------------------------------------------------------------
 
-def _scan_identity(center, sphere: list, space, dist, r: int, s: int):
-    """First word of ``space``, in its order, that lies in B(center, r)
-    but not in every B(z, r+s) over the sphere, or the other way round;
-    None when there is none."""
-    reach = r + s
-    for y in space:
-        if (dist(center, y) <= r) != all(dist(z, y) <= reach for z in sphere):
-            return y
-    return None
+def _scan_identity(plane, size: int, center, sphere, r: int, s: int):
+    """Lowest lane on which B(center, r) and the intersection of the
+    B(z, r+s) over the sphere disagree, or None.  Lane i is word i of the
+    space; words come as features, ``plane(f)`` is the lanes carrying f,
+    and a lane's distance to a word is how many features it lacks."""
+    full = (1 << size) - 1
+    cap = full
+    for z in sphere:
+        cap &= _at_most((full ^ plane(f) for f in z), r + s, full)
+    diff = _at_most((full ^ plane(f) for f in center), r, full) ^ cap
+    return (diff & -diff).bit_length() - 1 if diff else None
 
 
-def _hamming(a: tuple, b: tuple) -> int:
-    return sum(u != v for u, v in zip(a, b))
+def _qary_identity(q: int, L: int, center: tuple, sphere, r: int, s: int):
+    """First word of [q]^L, in product order, on which the identity fails."""
+    i = _scan_identity(lambda f: _qary_plane(q, L, *f), q ** L,
+                       enumerate(center), map(enumerate, sphere), r, s)
+    return None if i is None else tuple(i // q ** (L - 1 - j) % q
+                                        for j in range(L))
 
 
-def _johnson(a: frozenset, b: frozenset) -> int:
-    return len(a - b)
+def _johnson_identity(n: int, L: int, center, sphere, r: int, s: int):
+    """First L-subset of 1..n, in combination order, on which it fails."""
+    i = _scan_identity(functools.partial(_johnson_plane, n, L), binom(n, L),
+                       center, sphere, r, s)
+    if i is None:
+        return None
+    word, a = [], 1
+    for k in range(L, 0, -1):
+        while i >= binom(n - a, k - 1):
+            i -= binom(n - a, k - 1)
+            a += 1
+        word.append(a)
+        a += 1
+    return frozenset(word)
 
 
 def verify_symmetric_sphere_identity(x, r: int, s: int) -> bool:
@@ -95,15 +119,12 @@ def verify_symmetric_sphere_identity(x, r: int, s: int) -> bool:
     if isinstance(x, BinaryWord):
         # the identity is translation invariant, so centre it on zero
         return full_sphere_identity_holds(x.length, s, r)
+    sphere = enumerate_sphere(x, s)
     if isinstance(x, QaryWord):
-        space = itertools.product(range(x.q), repeat=x.length)
-        return _scan_identity(x.symbols,
-                              [z.symbols for z in enumerate_sphere(x, s)],
-                              space, _hamming, r, s) is None
-    space = map(frozenset, itertools.combinations(range(1, x.n + 1), x.length))
-    return _scan_identity(x.elements,
-                          [z.elements for z in enumerate_sphere(x, s)],
-                          space, _johnson, r, s) is None
+        return _qary_identity(x.q, x.length, x.symbols,
+                              (z.symbols for z in sphere), r, s) is None
+    return _johnson_identity(x.n, x.length, x.elements,
+                             (z.elements for z in sphere), r, s) is None
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +144,8 @@ def qary_verify(code: PpricCode, q: int) -> Verdict:
     L, s, r = code.params.L, code.params.s, code.params.r
     if q ** L > SPACE_CAP:
         raise CapacityError(f"q-ary scan q^L = {q ** L} exceeds {SPACE_CAP}")
-    bits = [tuple(m >> i & 1 for i in range(L)) for m in code.masks()]
-    y = _scan_identity((0,) * L, bits,
-                       itertools.product(range(q), repeat=L), _hamming, r, s)
+    bits = (tuple(m >> i & 1 for i in range(L)) for m in code.masks())
+    y = _qary_identity(q, L, (0,) * L, bits, r, s)
     return Verdict(True) if y is None else Verdict(False, QaryWord(q, y))
 
 
@@ -206,9 +226,8 @@ def johnson_verify(code: JohnsonPpricCode) -> Verdict:
     n, L, r, s = code.n, code.L, code.r, code.s
     if binom(n, L) > SPACE_CAP:
         raise CapacityError(f"J({n},{L}) has {binom(n, L)} words, over the cap")
-    space = map(frozenset, itertools.combinations(range(1, n + 1), L))
-    y = _scan_identity(code.x.elements, [v.elements for v in code.codewords],
-                       space, _johnson, r, s)
+    y = _johnson_identity(n, L, code.x.elements,
+                          (v.elements for v in code.codewords), r, s)
     return Verdict(True) if y is None else Verdict(False, JohnsonWord(n, y))
 
 

@@ -292,7 +292,7 @@ def enumerate_weight_class(L: int, s: int) -> Iterator[BinaryWord]:
 
 
 # ---------------------------------------------------------------------------
-# big-int characteristic vectors over F_2^L (bit y of the vector = word y)
+# big-int lane vectors: bit y stands for word y of a space (or record y+1)
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -325,16 +325,8 @@ def ball_vector(L: int, radius: int) -> int:
 
 
 @functools.cache
-def _level_masks(L: int) -> list[int]:
-    N = 1 << L
-    full = (1 << N) - 1
-    out = []
-    for j in range(L):
-        step = 1 << j
-        block = (1 << step) - 1
-        rep = full // ((1 << (2 * step)) - 1)
-        out.append(rep * block)
-    return out
+def _level_masks(L: int) -> list[int]:  # bit j of the word y is 0
+    return [_qary_plane(2, L, L - 1 - j, 0) for j in range(L)]
 
 
 def xor_translate(vector: int, z: int, L: int) -> int:
@@ -362,6 +354,69 @@ def min_weight_member(vector: int, L: int) -> int | None:
         if sect:
             return (sect & -sect).bit_length() - 1
     return None
+
+
+def _at_most(planes, radius: int, full: int) -> int:
+    """Lanes of ``full`` set in at most ``radius`` planes (none if < 0).
+
+    A vertical counter (bit-slicing, Biham, FSE 1997): digits[b] holds bit
+    b of every lane's count, and each plane is added with a ripple carry
+    that stops once it dies out.  The comparison with the radius then runs
+    from the top digit down."""
+    if radius < 0:
+        return 0
+    digits = []
+    for carry in planes:
+        for b, digit in enumerate(digits):
+            digits[b] = digit ^ carry
+            carry &= digit
+            if not carry:
+                break
+        else:
+            if carry:
+                digits.append(carry)
+    if radius >> len(digits):
+        return full
+    below, equal = 0, full
+    for b in reversed(range(len(digits))):
+        if radius >> b & 1:
+            below |= equal & ~digits[b]
+            equal &= digits[b]
+        else:
+            equal &= ~digits[b]
+    return below | equal
+
+
+def _qary_plane(q: int, L: int, j: int, a: int) -> int:
+    """Lanes of [q]^L, in product order, whose word has symbol a at j."""
+    width, size = q ** (L - 1 - j), q ** L
+    plane, period = ((1 << width) - 1) << a * width, q * width
+    while period < size:
+        plane |= plane << period
+        period *= 2
+    return plane & ((1 << size) - 1)
+
+
+def _johnson_plane(n: int, L: int, p: int) -> int:
+    """Lanes of J(n, L), in combination order, whose word holds point p.
+
+    J(a..n, k) lists the words holding a, then J(a+1..n, k): row k keeps,
+    for each a up to p, row k-1's plane with row k's shifted past it.  The
+    top row, for a = 1 only, is joined in halves: log2(p) shifts a block."""
+    row = {}  # a -> the plane over J(a..n, k - 1); J(a..n, 0) is one word
+    for k in range(1, L):
+        nxt = {p: (1 << binom(n - p, k - 1)) - 1}
+        for a in range(p - 1, L - k, -1):
+            nxt[a] = row.get(a + 1, 0) | nxt[a + 1] << binom(n - a, k - 1)
+        row = nxt
+
+    def join(lo, hi):  # words starting in lo..hi-1, and past p when hi > p
+        if hi - lo > 1:  # C(n-lo+1, L) - C(n-mid+1, L) start before mid
+            mid = (lo + hi) // 2
+            shift = binom(n - lo + 1, L) - binom(n - mid + 1, L)
+            return join(lo, mid) | join(mid, hi) << shift
+        return row.get(lo + 1, 0) if lo < p else (1 << binom(n - p, L - 1)) - 1
+    return join(1, p + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 import ppric
 from ppric import codes
-from ppric.cli import main
+from ppric.cli import build_parser, main
 from ppric.codes import make_code
 from ppric.construct import build_disjoint
 from ppric.covering import fano_plane, serialize_design
@@ -126,6 +126,26 @@ def test_usage_error_is_one_stderr_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: usage:")
     assert err.count("\n") == 1
+
+
+def test_one_parser_serves_every_call(capsys, code_file, bad_code_file):
+    # built once per process, so nothing one call parses may reach the next
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    first = capsys.readouterr().out
+    rc, doc = jrun(capsys, "verify", "--code", bad_code_file, "--q", "3")
+    assert (rc, doc["method"]) == (1, "qary[q=3]")
+    rc, doc = jrun(capsys, "verify", "--code", code_file)
+    assert (rc, doc["method"]) == (0, "exact")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])  # --code missing, after calls that gave it
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: usage:")
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert capsys.readouterr().out == first
 
 
 def test_jobs_flag_is_a_usage_error(capsys):

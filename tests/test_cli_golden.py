@@ -50,6 +50,16 @@ FILES = {
                           ' [1, 3, 4, 5, 7], [1, 2, 4, 5, 8],'
                           ' [1, 2, 3, 5, 9]], "n": 10, "r": 1, "s": 1,'
                           ' "x": [1, 2, 3, 4, 5]}\n',
+    # johnson --construct --n 12 --L 6 --s 1 --r 1 --x {2,4,6,8,10,12}
+    "johnson_x.json": '{"L": 6, "codewords": [[1, 4, 6, 8, 10, 12],'
+                      ' [2, 3, 6, 8, 10, 12], [2, 4, 5, 8, 10, 12],'
+                      ' [2, 4, 6, 7, 10, 12], [2, 4, 6, 8, 9, 12]], "n": 12,'
+                      ' "r": 1, "s": 1, "x": [2, 4, 6, 8, 10, 12]}\n',
+    # the same code without its first codeword
+    "johnson_x_short.json": '{"L": 6, "codewords": [[2, 3, 6, 8, 10, 12],'
+                            ' [2, 4, 5, 8, 10, 12], [2, 4, 6, 7, 10, 12],'
+                            ' [2, 4, 6, 8, 9, 12]], "n": 12, "r": 1, "s": 1,'
+                            ' "x": [2, 4, 6, 8, 10, 12]}\n',
     "jdb.txt": "{1,2,3,4,5}\n{1,2,3,4,6}\n{1,2,3,6,7}\n{6,7,8,9,10}\n"
                "{2,3,4,5,10}\n{1,3,5,7,9}\n{1,2,3,9,10}\n",
 }
@@ -87,6 +97,8 @@ CASES = [
      "--r", "1"],
     ["johnson", "--exact-check", "--n", "10", "--L", "4", "--s", "1",
      "--r", "1"],
+    ["johnson", "--exact-check", "--n", "18", "--L", "9", "--s", "1",
+     "--r", "0"],
     ["bounds", "--L", "9", "--s", "3", "--r", "2"],
     ["bounds", "--L", "10", "--s", "3", "--r", "3"],
     ["bounds", "--L", "12", "--s", "4", "--r", "1"],
@@ -116,6 +128,9 @@ CASES = [
     ["verify", "--code", "{dir}/split.json"],
     ["verify", "--code", "{dir}/code.json", "--q", "3"],
     ["verify", "--code", "{dir}/bad.json", "--q", "3"],
+    # the violator's symbols depend on q
+    ["verify", "--code", "{dir}/bad.json", "--q", "4"],
+    ["verify", "--code", "{dir}/bad.json", "--q", "5"],
     ["verify", "--code", "{dir}/code.json", "--enumerate"],
     ["verify", "--code", "{dir}/bad.json", "--enumerate"],
     ["johnson", "--construct", "--n", "10", "--L", "5", "--s", "1",
@@ -124,6 +139,9 @@ CASES = [
      "--x", "{2,4,6,8,10,12}"],
     ["johnson", "--verify", "{dir}/johnson.json"],
     ["johnson", "--verify", "{dir}/johnson_short.json"],
+    # a center other than {1..L}
+    ["johnson", "--verify", "{dir}/johnson_x.json"],
+    ["johnson", "--verify", "{dir}/johnson_x_short.json"],
     ["exact-n", "--L", "9", "--s", "3", "--r", "1"],
     ["exact-n", "--L", "10", "--s", "3", "--r", "1"],
     ["simulate", "--db", "{dir}/db.txt", "--code", "{dir}/code.json",

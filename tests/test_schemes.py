@@ -3,7 +3,7 @@ import itertools
 import operator
 import unittest
 
-from ppric.codes import make_code, verify_exact
+from ppric.codes import PpricCode, make_code, verify_exact
 from ppric.construct import build_disjoint, build_extremal
 from ppric.cover import Budget
 from ppric.covering import fano_plane
@@ -12,6 +12,8 @@ from ppric.schemes import (
     JohnsonCoveringCode,
     JohnsonPpricCode,
     _johnson_cover,
+    _johnson_identity,
+    _qary_identity,
     johnson_construction,
     johnson_exact_check,
     johnson_verify,
@@ -24,10 +26,43 @@ from ppric.words import (
     BinaryWord,
     JohnsonWord,
     QaryWord,
+    SchemeParams,
+    _johnson_plane,
+    _qary_plane,
     enumerate_ball,
     enumerate_sphere,
+    enumerate_weight_class,
     johnson_distance,
 )
+
+
+def oracle_scan(center, sphere, space, dist, r, s):
+    """The per-word reference: first word of ``space``, in its order, that
+    lies in B(center, r) but not in every B(z, r+s) over the sphere, or
+    the other way round; None when there is none."""
+    reach = r + s
+    for y in space:
+        if (dist(center, y) <= r) != all(dist(z, y) <= reach for z in sphere):
+            return y
+    return None
+
+
+def hamming(a, b):
+    return sum(u != v for u, v in zip(a, b))
+
+
+def johnson(a, b):
+    return len(a - b)
+
+
+def oracle_qary(q, L, center, sphere, r, s):
+    return oracle_scan(center, list(sphere),
+                       itertools.product(range(q), repeat=L), hamming, r, s)
+
+
+def oracle_johnson(n, L, center, sphere, r, s):
+    space = map(frozenset, itertools.combinations(range(1, n + 1), L))
+    return oracle_scan(center, list(sphere), space, johnson, r, s)
 
 
 def brute_min_johnson_code(n, L, s, r, top):
@@ -57,15 +92,33 @@ class SphereIdentityTests(unittest.TestCase):
         self.assertTrue(verify_symmetric_sphere_identity(x, 1, 2))
         self.assertTrue(verify_symmetric_sphere_identity(x, 2, 1))
 
+    def assert_identity(self, x, r, s):
+        """The scan holds, and so does the per-word oracle."""
+        self.assertTrue(verify_symmetric_sphere_identity(x, r, s))
+        if isinstance(x, QaryWord):
+            sphere = [z.symbols for z in enumerate_sphere(x, s)]
+            want = oracle_qary(x.q, x.length, x.symbols, sphere, r, s)
+        else:
+            sphere = [z.elements for z in enumerate_sphere(x, s)]
+            want = oracle_johnson(x.n, x.length, x.elements, sphere, r, s)
+        self.assertIsNone(want)
+
     def test_qary(self):
         x = QaryWord(3, (0, 2, 1, 0, 2, 1))
-        self.assertTrue(verify_symmetric_sphere_identity(x, 0, 2))
-        self.assertTrue(verify_symmetric_sphere_identity(x, 1, 1))
+        self.assert_identity(x, 0, 2)
+        self.assert_identity(x, 1, 1)
+        self.assert_identity(QaryWord(4, (3, 1, 0, 2)), 1, 1)
+        self.assert_identity(QaryWord(5, (4, 0, 2, 1)), 0, 1)
 
     def test_johnson(self):
         # diameter is min(L, n-L) = 6, exactly r + 2s + 1
         x = JohnsonWord(13, frozenset({1, 2, 3, 4, 5, 6}))
-        self.assertTrue(verify_symmetric_sphere_identity(x, 1, 2))
+        self.assert_identity(x, 1, 2)
+        # a centre other than {1..L}
+        self.assert_identity(JohnsonWord(13, frozenset({2, 5, 6, 8, 11, 13})),
+                             1, 2)
+        self.assert_identity(JohnsonWord(11, frozenset({1, 4, 9, 10, 11})),
+                             2, 1)
 
     def test_regime_enforced(self):
         # diameter 6 < r + 2s + 1 = 7: outside the theorem, refuse to scan
@@ -80,6 +133,124 @@ class SphereIdentityTests(unittest.TestCase):
         self.assertTrue(
             verify_symmetric_sphere_identity(BinaryWord(5, 0), 2, 0))
 
+
+class BitSlicedScanTests(unittest.TestCase):
+    """The bit-sliced identity scans against the per-word oracle."""
+
+    def test_johnson_plane_matches_combinations(self):
+        for n in range(13):
+            for L in range(n // 2 + 1):
+                words = list(itertools.combinations(range(1, n + 1), L))
+                for p in range(1, n + 1):
+                    want = sum(1 << i for i, w in enumerate(words) if p in w)
+                    self.assertEqual(_johnson_plane(n, L, p), want, (n, L, p))
+
+    def test_qary_plane_matches_product(self):
+        for q in (2, 3, 4, 5):
+            for L in range(1, 6):
+                words = list(itertools.product(range(q), repeat=L))
+                for j in range(L):
+                    for a in range(q):
+                        want = sum(1 << i for i, w in enumerate(words)
+                                   if w[j] == a)
+                        self.assertEqual(_qary_plane(q, L, j, a), want,
+                                         (q, L, j, a))
+
+    def test_johnson_verify_matches_oracle(self):
+        checked = failed = 0
+        for n in range(2, 13):
+            for L in range(1, n // 2 + 1):
+                centers = {frozenset(range(1, L + 1)),
+                           frozenset(range(2, 2 * L + 1, 2)),
+                           frozenset(range(n - L + 1, n + 1))}
+                for s, r in itertools.product(range(3), range(-1, 3)):
+                    for c in centers:
+                        x = JohnsonWord(n, c)
+                        sphere = list(enumerate_sphere(x, s))
+                        if not sphere:
+                            continue
+                        families = [sphere[:2 * r + 3], sphere[-2 * r - 3:]]
+                        if s and r >= 0 and L >= s * (2 * r + 3):
+                            families.append(list(johnson_construction(
+                                n, L, s, r, x).codewords))
+                        for family in families:
+                            for words in (family, family[1:], family[::2]):
+                                if not words:
+                                    continue
+                                code = JohnsonPpricCode(n, L, s, r, x,
+                                                        tuple(words))
+                                want = oracle_johnson(
+                                    n, L, x.elements,
+                                    (v.elements for v in words), r, s)
+                                got = johnson_verify(code)
+                                self.assertEqual(got.is_ppric, want is None)
+                                self.assertEqual(
+                                    got.violator,
+                                    None if want is None
+                                    else JohnsonWord(n, want),
+                                    (n, L, s, r, x, words))
+                                checked += 1
+                                failed += want is not None
+        # both verdicts are well represented
+        self.assertGreater(checked, 2000)
+        self.assertGreater(failed, 500)
+
+    def test_qary_verify_matches_oracle(self):
+        failed = 0
+        for L in range(1, 7):
+            for s, r in itertools.product(range(3), range(3)):
+                if L < 2 * s + r + 1:
+                    continue
+                weight = [w.mask for w in enumerate_weight_class(L, s)]
+                families = {tuple(weight), tuple(weight[:r + 2]),
+                            tuple(weight[1:]), tuple(weight[::3])}
+                for masks in filter(None, families):
+                    code = PpricCode(SchemeParams(L, s, r),
+                                     tuple(BinaryWord(L, m) for m in masks))
+                    bits = [tuple(m >> i & 1 for i in range(L))
+                            for m in masks]
+                    for q in (2, 3, 4, 5):
+                        want = oracle_qary(q, L, (0,) * L, bits, r, s)
+                        got = qary_verify(code, q)
+                        self.assertEqual(got.is_ppric, want is None)
+                        self.assertEqual(
+                            got.violator,
+                            None if want is None else QaryWord(q, want),
+                            (q, L, s, r, masks))
+                        failed += want is not None
+        self.assertGreater(failed, 50)
+
+    def test_sphere_identity_matches_oracle(self):
+        # every centre of small spaces, with the whole sphere and with a
+        # part of it, also outside the regime where the identity is a
+        # theorem, so the oracle finds violators to match
+        failed = symbols = 0
+        for q, L in ((3, 3), (4, 3), (5, 2), (2, 5)):
+            for x in itertools.product(range(q), repeat=L):
+                for s, r in itertools.product(range(1, 3), range(3)):
+                    sphere = [z.symbols
+                              for z in enumerate_sphere(QaryWord(q, x), s)]
+                    for part in (sphere, sphere[-2:]):
+                        want = oracle_qary(q, L, x, part, r, s)
+                        self.assertEqual(
+                            _qary_identity(q, L, x, part, r, s), want,
+                            (q, x, r, s, part))
+                        failed += want is not None
+                        symbols += want is not None and max(want) > 1
+        for n, L in ((7, 3), (8, 4), (9, 3)):
+            for x in map(frozenset,
+                         itertools.combinations(range(1, n + 1), L)):
+                for s, r in itertools.product(range(1, 3), range(3)):
+                    sphere = [z.elements
+                              for z in enumerate_sphere(JohnsonWord(n, x), s)]
+                    for part in (sphere, sphere[-2:]):
+                        want = oracle_johnson(n, L, x, part, r, s)
+                        self.assertEqual(
+                            _johnson_identity(n, L, x, part, r, s), want,
+                            (n, x, r, s, part))
+                        failed += want is not None
+        self.assertGreater(failed, 1000)
+        self.assertGreater(symbols, 100)  # first violators with a symbol > 1
 
 class QaryLiftTests(unittest.TestCase):
 
