@@ -84,8 +84,6 @@ def _covering_rules(L: int, s: int, r: int) -> list[tuple[str, int]]:
             n2, k2, t2 = L - ell, L - s - ell, t - ell
             if t2 < 1 or k2 < t2 or n2 < k2:
                 break
-            if n2 > covering.EXACT_N_CAP or binom(n2, k2) > (1 << 16):
-                continue
             base = _covering_probe(n2, k2, t2)
             if base is None:
                 continue

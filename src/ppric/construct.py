@@ -25,6 +25,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .codes import PpricCode, min_multihit_sets, verify_exact
+from .cover import POOL_CAP
 from .covering import (
     CoveringDesign,
     all_pairs_design,
@@ -142,7 +143,7 @@ def build_superset(base, s: int, offset: int = 0) -> TypedDesign:
             support.update(grain_coords(point))
         blocks.append(frozenset(support))
     td = TypedDesign(offset, ground, base.t, tuple(blocks))
-    if ground <= 20 and not td.validate_type():
+    if not td.validate_type():
         raise ConstructionError("superset family failed its type check")
     return td
 
@@ -311,8 +312,8 @@ class Family:
 
 
 def _full_code(L: int, s: int, r: int) -> PpricCode:
-    if binom(L, s) > 5000:
-        raise CapacityError("full code capped at C(L, s) <= 5000 codewords")
+    if binom(L, s) > POOL_CAP:
+        raise CapacityError(f"full code C({L},{s}) exceeds {POOL_CAP} words")
     words = tuple(
         BinaryWord.from_support(L, [c + 1 for c in supp])
         for supp in itertools.combinations(range(L), s)

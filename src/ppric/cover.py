@@ -45,6 +45,10 @@ import operator
 from .errors import CapacityError, ParameterError
 
 DEFAULT_NODE_BUDGET = 5_000_000
+# the largest instances a caller may build: candidates, and elements over
+# all segments
+POOL_CAP = 5000
+UNIVERSE_CAP = 60_000
 # how many uncovered elements to inspect when choosing the branch element
 ELEMENT_WINDOW = 64
 

@@ -119,8 +119,6 @@ def exact_covering_number(
         raise ParameterError(f"need n >= k >= t > 0, got ({n},{k},{t})")
     if n > EXACT_N_CAP:
         raise CapacityError(f"exact covering search capped at n <= {EXACT_N_CAP}")
-    if math.comb(n, k) > (1 << 16):
-        raise CapacityError("exact covering search capped at C(n,k) <= 2**16")
 
     blocks = list(itertools.combinations(range(1, n + 1), k))
     lower = schoenheim_bound(n, k, t) if n > k > t else 1

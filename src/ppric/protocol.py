@@ -37,9 +37,9 @@ import operator
 from dataclasses import dataclass
 
 from .codes import PpricCode, verify_exact
-from .errors import CapacityError, FormatError, ParameterError, read_text
+from .errors import FormatError, ParameterError, read_text
 from .jsondoc import JsonDoc
-from .schemes import JOHNSON_SCAN_CAP, JohnsonPpricCode, johnson_verify
+from .schemes import JohnsonPpricCode, johnson_verify
 from .words import BinaryWord, JohnsonWord, QaryWord, _at_most, binom
 
 _MASK64 = (1 << 64) - 1
@@ -338,11 +338,6 @@ def _check_code(x, code, allow_unverified: bool):
         raise ParameterError(f"not a scheme word: {x!r}")
     if allow_unverified:
         return
-    if isinstance(x, JohnsonWord) and binom(code.n, code.L) > JOHNSON_SCAN_CAP:
-        raise CapacityError(
-            "code too large to verify by enumeration; pass "
-            "allow_unverified=True to simulate without the check"
-        )
     if not verify(code).is_ppric:
         raise ParameterError(
             "code failed verification; pass allow_unverified=True to "

@@ -17,11 +17,13 @@ import json
 from dataclasses import dataclass
 
 from .codes import PpricCode, Verdict, full_sphere_identity_holds
-from .cover import Budget, Cover
+from .construct import ConstructionError
+from .cover import UNIVERSE_CAP, Budget, Cover
 from .covering import CoveringDesign, verify_covering
 from .errors import CapacityError, FormatError, ParameterError
 from .jsondoc import JsonDoc
 from .words import (
+    SCAN_WORK_CAP,
     BinaryWord,
     JohnsonWord,
     QaryWord,
@@ -29,15 +31,16 @@ from .words import (
     _johnson_plane,
     _qary_plane,
     binom,
+    check_scan,
     diameter,
     enumerate_ball,
     enumerate_sphere,
     johnson_distance,
+    johnson_sphere_size,
 )
 
-SPACE_CAP = 1 << 24
-IDENTITY_WORK_CAP = 1 << 26
-JOHNSON_SCAN_CAP = 1 << 18
+# (target, codeword) pairs one covering-code verification may compare
+COVERING_PAIR_CAP = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +52,7 @@ def _scan_identity(plane, size: int, center, sphere, r: int, s: int):
     B(z, r+s) over the sphere disagree, or None.  Lane i is word i of the
     space; words come as features, ``plane(f)`` is the lanes carrying f,
     and a lane's distance to a word is how many features it lacks."""
+    check_scan(size)
     full = (1 << size) - 1
     cap = full
     for z in sphere:
@@ -112,10 +116,9 @@ def verify_symmetric_sphere_identity(x, r: int, s: int) -> bool:
         )
     if s == 0:
         return True
-    if size > SPACE_CAP:
-        raise CapacityError(f"scheme size {size} exceeds {SPACE_CAP}")
-    if size * sphere_size > IDENTITY_WORK_CAP:
-        raise CapacityError("identity scan work exceeds the cap")
+    # each sphere word and the centre add x.length planes of size lanes
+    if size * (sphere_size + 1) * x.length > SCAN_WORK_CAP:
+        raise CapacityError("identity scan work exceeds SCAN_WORK_CAP = 2**32")
     if isinstance(x, BinaryWord):
         # the identity is translation invariant, so centre it on zero
         return full_sphere_identity_holds(x.length, s, r)
@@ -142,8 +145,6 @@ def qary_verify(code: PpricCode, q: int) -> Verdict:
     if q < 2:
         raise ParameterError("alphabet size q must be >= 2")
     L, s, r = code.params.L, code.params.s, code.params.r
-    if q ** L > SPACE_CAP:
-        raise CapacityError(f"q-ary scan q^L = {q ** L} exceeds {SPACE_CAP}")
     bits = (tuple(m >> i & 1 for i in range(L)) for m in code.masks())
     y = _qary_identity(q, L, (0,) * L, bits, r, s)
     return Verdict(True) if y is None else Verdict(False, QaryWord(q, y))
@@ -224,8 +225,6 @@ def johnson_verify(code: JohnsonPpricCode) -> Verdict:
     whose membership the two sides disagree.
     """
     n, L, r, s = code.n, code.L, code.r, code.s
-    if binom(n, L) > SPACE_CAP:
-        raise CapacityError(f"J({n},{L}) has {binom(n, L)} words, over the cap")
     y = _johnson_identity(n, L, code.x.elements,
                           (v.elements for v in code.codewords), r, s)
     return Verdict(True) if y is None else Verdict(False, JohnsonWord(n, y))
@@ -262,13 +261,9 @@ def johnson_construction(n: int, L: int, s: int, r: int,
         add = outside[i * s:(i + 1) * s]
         words.append(JohnsonWord(n, (x.elements - set(drop)) | set(add)))
     code = JohnsonPpricCode(n, L, s, r, x, tuple(words))
-    for i, a in enumerate(words):
-        assert johnson_distance(x, a) == s
-        for b in words[i + 1:]:
-            assert johnson_distance(a, b) == 2 * s
-    if binom(n, L) <= JOHNSON_SCAN_CAP:
-        verdict = johnson_verify(code)
-        assert verdict.is_ppric, (
+    verdict = johnson_verify(code)
+    if not verdict.is_ppric:
+        raise ConstructionError(
             f"swap family failed enumeration at ({n},{L},{s},{r}): "
             f"violator {verdict.violator.to_string()}"
         )
@@ -288,6 +283,13 @@ def _johnson_cover(n: int, L: int, s: int, r: int) -> Cover:
     itself, and those fixing v0 as well map the elements onto themselves,
     so the symmetry cells are x and its complement.
     """
+    # B(x, r) lies inside B(v0, r+s), so there are as many elements as
+    # words at distance r+1..r+s from v0; when r + 2s <= L those at r+s
+    # alone outnumber the sphere, so the cap bounds both
+    count = sum(johnson_sphere_size(n, L, d) for d in range(r + 1, r + s + 1))
+    if count > UNIVERSE_CAP:
+        raise CapacityError(f"element universe of {count} exceeds "
+                            f"UNIVERSE_CAP = {UNIVERSE_CAP}")
     x = JohnsonWord(n, frozenset(range(1, L + 1)))
     sphere = list(enumerate_sphere(x, s))
     universe = [y.elements for y in enumerate_ball(sphere[0], r + s)
@@ -318,9 +320,6 @@ def johnson_exact_check(n: int, L: int, s: int, r: int) -> bool:
         )
     if n < 2 * L:
         raise ParameterError("Johnson scheme needs n >= 2L")
-    space = binom(n, L)
-    if space > JOHNSON_SCAN_CAP:
-        raise CapacityError(f"J({n},{L}) has {space} words, over the scan cap")
     if _johnson_cover(n, L, s, r).solve(1, 2 * r + 2, Budget()) is not None:
         # a 2r+2 code would contradict the lower bound
         return False
@@ -397,9 +396,10 @@ def verify_johnson_covering(code: JohnsonCoveringCode) -> CoveringCodeVerdict:
     n, L, k, t = code.n, code.L, code.k, code.t
     head = list(range(1, L + 1))
     tail = list(range(L + 1, n + 1))
-    work = binom(L, t) * binom(n - L, t) * code.size
-    if work > IDENTITY_WORK_CAP:
-        raise CapacityError("covering-code verification work exceeds the cap")
+    pairs = binom(L, t) * binom(n - L, t) * code.size
+    if pairs > COVERING_PAIR_CAP:
+        raise CapacityError(
+            f"{pairs} target-codeword pairs exceed COVERING_PAIR_CAP = 2**26")
     full_head = frozenset(head)
     want = k - t
     at_least = True

@@ -20,13 +20,10 @@ from dataclasses import dataclass
 
 from . import bounds
 from .codes import PpricCode, _gamma_range, mippr_min_weight, verify_exact
-from .cover import DEFAULT_NODE_BUDGET, Budget, Cover
+from .cover import DEFAULT_NODE_BUDGET, POOL_CAP, UNIVERSE_CAP, Budget, Cover
 from .errors import CapacityError, ParameterError
 from .jsondoc import JsonDoc
 from .words import BinaryWord, SchemeParams, binom
-
-POOL_CAP = 5000
-UNIVERSE_CAP = 60_000
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,8 @@ def exact_n_search(L: int, s: int, r: int, size_cap: int | None = None,
     params = SchemeParams(L, s, r)
     if s == 0:
         code = PpricCode(params, (BinaryWord(L, 0),))
-        assert verify_exact(code).is_ppric
+        if not verify_exact(code).is_ppric:
+            raise AssertionError("the one-word code fails verify_exact")
         return SearchResult(params, 1, code, 1)
     lower = bounds.best_lower(L, s, r)
     if size_cap is not None and size_cap < lower:

@@ -10,9 +10,10 @@ are L-subsets of {1..n} with d(x, y) = |x \\ y| (half the Hamming distance
 of the characteristic vectors); we keep the canonical-position convention
 2L <= n so that a word and its complement never collide.
 
-Enumeration caps: binary L <= 24, q-ary q**L <= 2**24, Johnson
-C(n, L) <= 2**24.  Past those a CapacityError is raised rather than an
-open-ended scan.
+Enumerations and bit-sliced scans of a whole space share one rule,
+``check_scan``: at most SCAN_CAP = 2**24 words, one lane each (binary
+L <= 24, q-ary q**L <= 2**24, Johnson C(n, L) <= 2**24).  Past it a
+CapacityError is raised rather than an open-ended scan.
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ from .errors import CapacityError, FormatError, ParameterError
 # arithmetic, so the cap exists only to keep enumeration and search honest.
 MAX_LENGTH = 256
 
-ENUM_CAP = 1 << 24
+# lanes of one scan: the words of the space enumerated or bit-sliced
+SCAN_CAP = 1 << 24
+# lane-plane additions of one identity scan: lanes * (sphere words + 1) * L
+SCAN_WORK_CAP = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -234,16 +238,17 @@ def johnson_sphere_size(n: int, L: int, d: int) -> int:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _check_binary_cap(L: int):
-    if L > 24:
-        raise CapacityError(f"binary enumeration capped at L <= 24, got {L}")
+def check_scan(size: int) -> None:
+    """Refuse to enumerate or scan a space of more than SCAN_CAP words."""
+    if size > SCAN_CAP:
+        raise CapacityError(f"space of {size} words exceeds SCAN_CAP = 2**24")
 
 
 def enumerate_sphere(center, radius: int) -> Iterator:
     """All words at distance exactly ``radius`` from the center."""
     if isinstance(center, BinaryWord):
-        _check_binary_cap(center.length)
         L = center.length
+        check_scan(1 << L)
         for flips in itertools.combinations(range(L), radius):
             m = center.mask
             for i in flips:
@@ -252,8 +257,7 @@ def enumerate_sphere(center, radius: int) -> Iterator:
         return
     if isinstance(center, QaryWord):
         L, q = center.length, center.q
-        if q**L > ENUM_CAP:
-            raise CapacityError(f"q-ary enumeration capped at q**L <= 2**24")
+        check_scan(q ** L)
         for pos in itertools.combinations(range(L), radius):
             for alts in itertools.product(range(q - 1), repeat=radius):
                 sym = list(center.symbols)
@@ -264,8 +268,7 @@ def enumerate_sphere(center, radius: int) -> Iterator:
         return
     if isinstance(center, JohnsonWord):
         n, elems = center.n, center.elements
-        if binom(n, len(elems)) > ENUM_CAP:
-            raise CapacityError("Johnson enumeration capped at C(n, L) <= 2**24")
+        check_scan(binom(n, len(elems)))
         outside = sorted(set(range(1, n + 1)) - elems)
         inside = sorted(elems)
         for drop in itertools.combinations(inside, radius):
@@ -287,7 +290,6 @@ def enumerate_ball(center, radius: int) -> Iterator:
 
 def enumerate_weight_class(L: int, s: int) -> Iterator[BinaryWord]:
     """All binary length-L words of weight s, in support-lex order."""
-    _check_binary_cap(L)
     yield from enumerate_sphere(BinaryWord(L, 0), s)
 
 
@@ -302,7 +304,7 @@ def weight_vectors(L: int) -> list[int]:
     Built by doubling: a word of length l+1 is a length-l word plus a top
     bit, so each class is the old class OR the (w-1)-class shifted by 2^l.
     """
-    _check_binary_cap(L)
+    check_scan(1 << L)
     vecs = [1]  # L = 0: the empty word has weight 0
     for ell in range(L):
         shift = 1 << ell

@@ -164,9 +164,10 @@ def test_best_lower_never_beats_exact():
 
 
 def test_chain_probe_misses_pinned(monkeypatch):
-    # every covering number the chain probes for L <= 40 and r <= 5, and
-    # which of them its 50k-node budget misses; a slower covering search
-    # shows up here as a longer list
+    # every covering number within the exact search's n <= EXACT_N_CAP
+    # that the chain probes for L <= 40 and r <= 5, and which of them its
+    # 50k-node budget misses; a slower covering search shows up here as a
+    # longer list
     real = covering.exact_covering_number
     seen = {}
 
@@ -185,6 +186,11 @@ def test_chain_probe_misses_pinned(monkeypatch):
         for r in range(0, 6):
             for s in range(1, (L - r - 1) // 2 + 1):
                 bounds.lb_covering_chain(L, s, r)
+    # the search itself refuses every probe past its cap
+    assert all(value is None for key, value in seen.items()
+               if key[0] > covering.EXACT_N_CAP)
+    seen = {key: value for key, value in seen.items()
+            if key[0] <= covering.EXACT_N_CAP}
     assert len(seen) == 82
     assert sorted(key for key, value in seen.items() if value is None) == [
         (9, 6, 4), (10, 6, 3), (10, 7, 4), (10, 7, 5),

@@ -237,6 +237,22 @@ def test_johnson_reconstruction_matches_ground_truth():
         assert set(tr.permutation) == {"inside", "outside"}
 
 
+def test_johnson_code_verified_up_to_the_scan_cap():
+    # J(22,11) has 705,432 words, within SCAN_CAP: the code is verified,
+    # not refused, with no opt-out
+    code = johnson_construction(22, 11, 1, 1)
+    rnd = random.Random(22)
+    universe = list(range(1, 23))
+    x = JohnsonWord(22, frozenset(range(1, 12)))
+    near = JohnsonWord(22, frozenset(range(2, 13)))  # distance 1 from x
+    db = Database((near,) + tuple(
+        JohnsonWord(22, frozenset(rnd.sample(universe, 11)))
+        for _ in range(30)))
+    tr = run_simulation(db, x, 1, code, seed=5)
+    assert 1 in tr.reconstructed  # record 1 is near
+    assert tr.reconstructed == db.neighborhood(x, 1)
+
+
 def test_queries_preserve_pairwise_distances():
     # one shared permutation: queries inherit the codeword geometry
     code = exact_n_search(7, 2, 1).witness

@@ -1,13 +1,17 @@
 import functools
 import itertools
 import operator
+import os
+import subprocess
+import sys
 import unittest
+from pathlib import Path
 
 from ppric.codes import PpricCode, make_code, verify_exact
 from ppric.construct import build_disjoint, build_extremal
 from ppric.cover import Budget
 from ppric.covering import fano_plane
-from ppric.errors import ParameterError
+from ppric.errors import CapacityError, ParameterError
 from ppric.schemes import (
     JohnsonCoveringCode,
     JohnsonPpricCode,
@@ -119,6 +123,16 @@ class SphereIdentityTests(unittest.TestCase):
                              1, 2)
         self.assert_identity(JohnsonWord(11, frozenset({1, 4, 9, 10, 11})),
                              2, 1)
+
+    def test_work_cap_boundary(self):
+        # 352,716 lanes, 121 sphere words and the centre, 11 planes each:
+        # 473M lane-plane additions, within SCAN_WORK_CAP = 2**32
+        x = JohnsonWord(22, frozenset(range(1, 12)))
+        self.assertTrue(verify_symmetric_sphere_identity(x, 1, 1))
+        # J(20,10) at s = 3: 184,756 lanes x 14,401 x 10 planes
+        with self.assertRaises(CapacityError):
+            verify_symmetric_sphere_identity(
+                JohnsonWord(20, frozenset(range(1, 11))), 1, 3)
 
     def test_regime_enforced(self):
         # diameter 6 < r + 2s + 1 = 7: outside the theorem, refuse to scan
@@ -301,6 +315,38 @@ class JohnsonCodeTests(unittest.TestCase):
         self.assertEqual(code.x, x)
         self.assertTrue(johnson_verify(code).is_ppric)
 
+    def test_construction_distances(self):
+        # distinct codewords trade disjoint runs of x, so they sit at
+        # distance s from x and 2s from each other
+        for n, L, s, r in [(8, 4, 1, 0), (10, 5, 1, 1), (12, 6, 2, 0),
+                           (14, 7, 1, 2), (18, 9, 3, 0), (20, 10, 2, 1)]:
+            for x in (None, JohnsonWord(n, frozenset(range(2, 2 * L + 1, 2)))):
+                code = johnson_construction(n, L, s, r, x=x)
+                self.assertEqual(code.size, 2 * r + 3)
+                for i, a in enumerate(code.codewords):
+                    self.assertEqual(johnson_distance(code.x, a), s)
+                    for b in code.codewords[i + 1:]:
+                        self.assertEqual(johnson_distance(a, b), 2 * s)
+
+    def test_failed_self_check_raises_under_O(self):
+        # the self-check is no assert: it still fires with asserts stripped
+        probe = (
+            "import ppric.schemes as S\n"
+            "from ppric.codes import Verdict\n"
+            "from ppric.construct import ConstructionError\n"
+            "S.johnson_verify = lambda code: Verdict(False, code.x)\n"
+            "try:\n"
+            "    S.johnson_construction(8, 4, 1, 0)\n"
+            "except ConstructionError:\n"
+            "    print('raised')\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-O", "-c", probe],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=60)
+        self.assertEqual((done.returncode, done.stdout), (0, "raised\n"),
+                         done.stderr)
+
     def test_construction_regime(self):
         with self.assertRaises(ParameterError):
             johnson_construction(8, 4, 2, 0)  # L < s(2r+3)
@@ -347,6 +393,27 @@ class JohnsonCodeTests(unittest.TestCase):
             code = JohnsonPpricCode(n, L, s, r, x,
                                     tuple(sphere[i] for i in hit))
             self.assertTrue(johnson_verify(code).is_ppric)
+
+    def test_scan_cap_boundary(self):
+        # J(24,12) has 2.7M words, within SCAN_CAP = 2**24
+        self.assertTrue(johnson_exact_check(24, 12, 1, 1))
+        # J(28,14) has 40.1M words: refused before any scan
+        x = JohnsonWord(28, frozenset(range(1, 15)))
+        code = JohnsonPpricCode(28, 14, 1, 0, x, tuple(
+            JohnsonWord(28, x.elements - {i} | {14 + i}) for i in (1, 2, 3)))
+        with self.assertRaises(CapacityError):
+            johnson_verify(code)
+        with self.assertRaises(CapacityError):
+            johnson_construction(28, 14, 1, 0)
+
+    def test_universe_cap_boundary(self):
+        # the universe is counted before it is built: 87,880 of the
+        # 88,050 words of B(v0, 3) lie outside B(x, 1)
+        with self.assertRaisesRegex(CapacityError, "universe"):
+            _johnson_cover(26, 13, 2, 1)
+        # B(v0, 4) has 60,626 words, over the cap, but only the 44,100
+        # outside B(x, 3) are elements, so the instance is built
+        self.assertEqual(len(_johnson_cover(20, 10, 1, 3).handler), 44_100)
 
     def test_instance_masks_match_definition(self):
         # sphere word v covers y (in B(v0, r+s), outside B(x, r)) iff
