@@ -1,9 +1,11 @@
 """Exhaustive minimum-size search, from easy to deliberately hard.
 
-The searcher deepens from the best lower bound and emits the first
-witness in a fixed branch order, so results are reproducible run to run.
-The last example is the smallest point where the closed-form table and
-the search engine disagree; the engine wins.
+The searcher brackets the minimum first: when the smallest catalog code
+or a greedy cover meets the best lower bound, that code is the witness
+and no tree node is spent.  Otherwise it deepens from the lower bound and
+emits the first witness in a fixed branch order, so results are
+reproducible run to run.  The last example is the smallest point where
+the closed-form table and the search engine disagree; the engine wins.
 """
 
 from ppric import exact_n, exact_n_search, minimal_codes_enumerate

@@ -8,8 +8,13 @@ ground-set masks in which a candidate covers an element when their
 overlap is below a bound; this module builds its bitsets and searches it.
 
 Candidate 0 is pinned: every cover searched contains it, which each
-caller justifies by symmetry.  Sizes are tried by iterative deepening.
-Within one size the tree branches on an uncovered element: every
+caller justifies by symmetry.  ``solve`` brackets the minimum first: a
+greedy cover (Chvatal 1979) bounds it from above, and only the sizes from
+the caller's lower bound up to one below the greedy size are tried, by
+iterative deepening.  The witness is the first cover the tree finds, or
+the greedy cover when every smaller size is refuted (with no node spent
+when its size meets the lower bound); the node budget counts tree nodes
+only.  Within one size the tree branches on an uncovered element: every
 completion must contain one of its handlers (the candidates covering
 it), so the children commit one handler each and ban the handlers tried
 by earlier siblings.  The branch element is the one with the fewest
@@ -31,10 +36,11 @@ many points.  Only the lowest-index member of each orbit is tried, in
 index order; once its child returns, the whole orbit is banned for later
 siblings, since any cover through another member maps onto one through
 the member tried.  Inside the child only the tried member is banned, so
-every ban stays invariant under the smaller group below it.  ``solve``
-thus visits each completion up to symmetry at least once and returns
-the first cover in branch order; ``collect`` treats every handler as its
-own orbit, so it still visits every completion exactly once.
+every ban stays invariant under the smaller group below it.  The
+deepening thus visits each completion up to symmetry at least once and
+stops at the first cover in branch order; ``collect`` treats every
+handler as its own orbit, so it still visits every completion exactly
+once.
 """
 
 from __future__ import annotations
@@ -279,13 +285,51 @@ class Cover:
             alive &= ~orbit
         return None
 
+    def greedy(self) -> tuple[int, ...] | None:
+        """Chvatal's greedy cover with candidate 0 pinned, or None when the
+        candidates cannot cover every element.
+
+        Each step takes the candidate covering the most uncovered elements,
+        the lowest index on a tie, so the cover is deterministic.
+        """
+        cover = self.cover
+        left = self.full & ~cover[0]
+        picked = [0]
+        while left:
+            gains = [(c & left).bit_count() for c in cover]
+            best = max(gains)
+            if not best:
+                return None
+            i = gains.index(best)
+            picked.append(i)
+            left &= ~cover[i]
+        return tuple(sorted(picked))
+
     def solve(self, lower: int, upper: int,
               budget: Budget) -> tuple[int, ...] | None:
         """Smallest cover containing candidate 0 with size in lower..upper.
 
-        ``lower`` must be a true lower bound on the minimum.  The cover
-        found is the first one of its size in branch order.
+        ``lower`` must be a true lower bound on the minimum; a greedy cover
+        smaller than it raises ParameterError.  Only the sizes below the
+        greedy cover's are searched: the witness is the first tree cover
+        found there, else the greedy cover.  ``budget`` counts tree nodes
+        only, so it stays 0 when the greedy size is ``lower``.
         """
+        greedy = self.greedy()
+        if greedy is None:
+            return None
+        if len(greedy) < lower:
+            raise ParameterError(f"a greedy cover of {len(greedy)} is below "
+                                 f"the stated lower bound {lower}")
+        hit = self._deepen(lower, min(upper, len(greedy) - 1), budget)
+        if hit is None and len(greedy) <= upper:
+            return greedy
+        return hit
+
+    def _deepen(self, lower: int, upper: int,
+                budget: Budget) -> tuple[int, ...] | None:
+        """The first cover in branch order of the smallest size in
+        lower..upper that has one, by iterative deepening."""
         for m in range(lower, min(upper, len(self.cover)) + 1):
             # the root node is the pinned pick of candidate 0
             hit = self._branch([], self.full, self.full_pool, 1, self.cells,

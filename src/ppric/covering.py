@@ -108,12 +108,14 @@ def exact_covering_number(
     """c(n, k, t) by exhaustive search (n <= 10).
 
     A minimum cover of the t-subsets by the k-subsets, searched by the
-    engine in ``cover`` with iterative deepening from the Schonheim value
-    (or 1 when k = t or k = n makes that bound inapplicable) and the first
-    block pinned to {1..k}, so the witness is deterministic.  Raises
-    CapacityError after ``node_budget`` branch nodes; some small-n
-    instances still have deep cover numbers and blow up well before the
-    size caps bite.
+    engine in ``cover`` with the first block pinned to {1..k}: a greedy
+    cover bounds it from above, and iterative deepening from the Schonheim
+    value (or 1 when k = t or k = n makes that bound inapplicable) refutes
+    the sizes below it.  The witness is the first tree cover found there,
+    else the greedy cover, so it is deterministic.  Raises CapacityError
+    after ``node_budget`` tree nodes (the greedy step spends none); some
+    small-n instances still have deep cover numbers and blow up well
+    before the size caps bite.
     """
     if not n >= k >= t > 0:
         raise ParameterError(f"need n >= k >= t > 0, got ({n},{k},{t})")

@@ -10,6 +10,10 @@ Finding N is then a minimum set cover, searched by the engine in
 ``cover`` with the first codeword pinned to support {1..s} by
 coordinate-permutation symmetry.
 
+The search is bracket first: when the smallest catalog code meets the
+paper's best lower bound it is the witness, relabelled to start with
+{1..s}, and no instance is built; otherwise the witness is the engine's
+(the first tree cover below its greedy cover, else the greedy cover).
 Every witness is re-checked with verify_exact before being returned.
 """
 
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 
 from . import bounds
 from .codes import PpricCode, _gamma_range, mippr_min_weight, verify_exact
+from .construct import available_recipes, build_recipe
 from .cover import DEFAULT_NODE_BUDGET, POOL_CAP, UNIVERSE_CAP, Budget, Cover
 from .errors import CapacityError, ParameterError
 from .jsondoc import JsonDoc
@@ -44,64 +49,93 @@ class SearchResult(JsonDoc):
         }
 
 
+def _checked(code: PpricCode) -> PpricCode:
+    """The witness, once verify_exact accepts it (an explicit raise, so the
+    check holds under python -O)."""
+    if not verify_exact(code).is_ppric:
+        raise AssertionError("witness fails verify_exact: "
+                             f"{[w.to_string() for w in code.codewords]}")
+    return code
+
+
+def _widths(L: int, s: int, r: int) -> list[tuple[int, int]]:
+    """(gamma, |P|) per segment of the (L, s, r) instance; raises
+    CapacityError when its pool or its universe is over the cover caps."""
+    if binom(L, s) > POOL_CAP:
+        raise CapacityError(
+            f"candidate pool C({L},{s}) = {binom(L, s)} exceeds {POOL_CAP}"
+        )
+    widths = [(g, min(r + 2 * g, L)) for g in _gamma_range(L, s, r)]
+    if sum(binom(L, w) for _, w in widths) > UNIVERSE_CAP:
+        raise CapacityError("element universe exceeds the search cap")
+    return widths
+
+
 class _Space(Cover):
     """Candidate pool plus the per-gamma element universes, as a cover
     instance: candidate i is the weight-s word pool[i]."""
 
     def __init__(self, L: int, s: int, r: int):
         self.params = SchemeParams(L, s, r)
-        if binom(L, s) > POOL_CAP:
-            raise CapacityError(
-                f"candidate pool C({L},{s}) = {binom(L, s)} exceeds {POOL_CAP}"
-            )
+        widths = _widths(L, s, r)
         self.pool = [
             sum(1 << c for c in supp)
             for supp in itertools.combinations(range(L), s)
         ]
-        gammas = _gamma_range(L, s, r)
-        widths = [min(r + 2 * g, L) for g in gammas]
-        if sum(binom(L, w) for w in widths) > UNIVERSE_CAP:
-            raise CapacityError("element universe exceeds the search cap")
-
         # one segment per gamma: the width-w coordinate sets P, bound gamma;
         # every coordinate permutation maps the instance onto itself
         super().__init__(self.pool, [
             ([sum(1 << c for c in P)
               for P in itertools.combinations(range(L), w)], g)
-            for g, w in zip(gammas, widths)
+            for g, w in widths
         ], [(1 << L) - 1])
 
     def make_code(self, indices) -> PpricCode:
         """The code on the given pool indices, re-checked with verify_exact."""
         L = self.params.L
-        words = tuple(BinaryWord(L, self.pool[i]) for i in indices)
-        code = PpricCode(self.params, words)
-        if not verify_exact(code).is_ppric:
-            raise AssertionError(
-                "universe bookkeeping disagrees with verify_exact; "
-                f"offending index tuple {tuple(indices)}"
-            )
-        return code
+        return _checked(PpricCode(self.params, tuple(
+            BinaryWord(L, self.pool[i]) for i in indices)))
+
+
+def _pinned(code: PpricCode) -> PpricCode:
+    """The code with its first codeword's support renamed to 1..s and the
+    other coordinates after it in their order, its codewords sorted into
+    the candidate pool's order; re-checked with verify_exact."""
+    L = code.params.L
+    first = code.codewords[0].mask
+    order = sorted(range(L), key=lambda c: not first >> c & 1)
+    supports = sorted(
+        [i for i, c in enumerate(order) if w.mask >> c & 1]
+        for w in code.codewords)
+    return _checked(PpricCode(code.params, tuple(
+        BinaryWord(L, sum(1 << c for c in supp)) for supp in supports)))
 
 
 def exact_n_search(L: int, s: int, r: int, size_cap: int | None = None,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
-    """Minimum PPRIC code size by iterative deepening, with witness.
+    """Minimum PPRIC code size, with witness, bracket first.
 
-    The first codeword is pinned to support {1..s}; the rest are found by
-    the element-branching tree, so the witness is the first completion in
-    that fixed order.  Deterministic for fixed parameters.  The node
-    budget covers the whole run.
+    The paper's best lower bound opens the bracket.  When the smallest
+    catalog recipe meets it, the witness is that code, relabelled so its
+    first codeword has support {1..s}, and no tree is searched.  Otherwise
+    ``Cover.solve`` takes over with the first codeword pinned to {1..s}:
+    the witness is the first cover its tree finds below the greedy size,
+    or else the greedy cover.  Deterministic for fixed parameters.  The
+    node budget counts tree nodes only, so ``nodes_explored`` is 0 when
+    the bracket closes without a tree.
     """
     params = SchemeParams(L, s, r)
     if s == 0:
-        code = PpricCode(params, (BinaryWord(L, 0),))
-        if not verify_exact(code).is_ppric:
-            raise AssertionError("the one-word code fails verify_exact")
-        return SearchResult(params, 1, code, 1)
+        return SearchResult(params, 1,
+                            _checked(PpricCode(params, (BinaryWord(L, 0),))), 0)
     lower = bounds.best_lower(L, s, r)
     if size_cap is not None and size_cap < lower:
         raise ParameterError(f"size_cap {size_cap} below the lower bound {lower}")
+    _widths(L, s, r)  # an instance over the caps is refused either way
+    catalog = available_recipes(L, s, r)[0]
+    if catalog.size == lower:
+        return SearchResult(params, lower,
+                            _pinned(build_recipe(catalog, L, s, r)), 0)
     space = _Space(L, s, r)
     top = len(space.pool) if size_cap is None else min(size_cap, len(space.pool))
     budget = Budget(node_budget)

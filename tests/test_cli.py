@@ -253,10 +253,18 @@ def test_sweep_skips_inadmissible_points_and_notes_capacity(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [(row["L"], row["s"]) for row in rows] == [
         ("5", "2"), ("6", "2"), ("7", "2"), ("7", "3")]
+    # each bracket closes without a tree node, so a 1-node budget is enough
     for row in rows:
-        assert row["search"] == ""
-        assert row["note"] == ("search capacity: search node budget 1 "
-                               "exceeded")
+        assert row["search"] == row["exact"] != ""
+        assert row["note"] == ""
+    # (9,3,1): lower bound 6, N = 7, so the tree must run and the budget
+    # ends it
+    rc, out, err = run(capsys, "sweep", "--L", "9", "--s", "3", "--r", "1",
+                       "--node-budget", "1")
+    assert rc == 0 and err == ""
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["search"] == ""
+    assert row["note"] == "search capacity: search node budget 1 exceeded"
 
 
 def test_sweep_no_search_big_point(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from ppric.cover import Cover
+from ppric.cover import Budget, Cover
 from ppric.covering import _covering_cover
 from ppric.errors import ParameterError
 from ppric.schemes import _johnson_cover
@@ -68,3 +68,40 @@ def test_instance_closed_under_declared_cells(name):
             for piece in (cell & inst.sets[0], cell & ~inst.sets[0])]
     for off, seg, _ in inst.segments:
         assert _closed(inst.elements[off:off + seg.bit_count()], root)
+
+
+def test_greedy_pins_candidate_0_and_breaks_ties_low():
+    # singleton elements 0..3, each covered by the candidates missing it
+    inst = Cover([0b1110, 0b1001, 0b0011, 0b0111],
+                 [([0b0001, 0b0010, 0b0100, 0b1000], 1)], [])
+    assert inst.cover == [0b0001, 0b0110, 0b1100, 0b1000]
+    # after the pinned 0, candidates 1 and 2 tie on two elements and 1
+    # wins; then 2 and 3 tie on the last one and 2 wins
+    assert inst.greedy() == (0, 1, 2)
+
+
+def test_greedy_on_an_uncoverable_instance():
+    # element 0b11 meets both candidates in 1 place, never below 1
+    inst = Cover([0b01, 0b10], [([0b11], 1)], [])
+    assert inst.greedy() is None
+    assert inst.solve(1, 2, Budget()) is None
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_lower_bound_above_greedy_raises(name):
+    inst = INSTANCES[name]()
+    size = len(inst.greedy())
+    with pytest.raises(ParameterError, match="lower bound"):
+        inst.solve(size + 1, len(inst.sets), Budget())
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_greedy_at_the_lower_bound_spends_no_node(name):
+    inst = INSTANCES[name]()
+    greedy = inst.greedy()
+    budget = Budget()
+    assert inst.solve(len(greedy), len(inst.sets), budget) == greedy
+    assert budget.nodes == 0
+    # and with an upper bound below it there is no cover to return
+    assert inst.solve(len(greedy), len(greedy) - 1, budget) is None
+    assert budget.nodes == 0

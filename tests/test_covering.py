@@ -112,16 +112,29 @@ COVERING_GRID = [(n, k, t) for n in range(2, 8) for k in range(1, n + 1)
 @pytest.mark.parametrize("n,k,t", COVERING_GRID)
 def test_orbital_minimum_matches_full_enumeration(n, k, t):
     # collect prunes no symmetric subtree: no cover one block smaller,
-    # and the orbital witness among the covers of its size
+    # and the witness of the deepening from size 1 among the covers of
+    # its size
     inst = _covering_cover(n, k, t)
     c, blocks = exact_covering_number(n, k, t, return_witness=True)
-    hit = inst.solve(1, len(inst.sets), Budget(2_000_000))
+    hit = inst._deepen(1, len(inst.sets), Budget(2_000_000))
     assert len(hit) == c
     if c > 1:
         assert inst.collect(c - 1, Budget(2_000_000)) == []
     assert hit in inst.collect(c, Budget(2_000_000))
     design = CoveringDesign(n, k, t, blocks)
     assert verify_covering(design) and covers(design)
+
+
+@pytest.mark.parametrize("n,k,t", COVERING_GRID)
+def test_solve_agrees_with_deepening(n, k, t):
+    inst = _covering_cover(n, k, t)
+    hit = inst.solve(1, len(inst.sets), Budget(2_000_000))
+    assert len(hit) == len(inst._deepen(1, len(inst.sets),
+                                        Budget(2_000_000)))
+    full = inst.full
+    for i in hit:
+        full &= ~inst.cover[i]
+    assert full == 0
 
 
 def test_exact_at_least_schoenheim():

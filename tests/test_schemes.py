@@ -381,9 +381,10 @@ class JohnsonCodeTests(unittest.TestCase):
             self.assertEqual(brute, 2 * r + 3)
             self.assertTrue(johnson_exact_check(n, L, s, r))
             # the pinned instance reaches the same minimum with a real
-            # code, so its refutations below 2r+3 are not vacuous
+            # code, so its refutations below 2r+3 are not vacuous; the
+            # deepening finds it without the greedy cover's help
             inst = _johnson_cover(n, L, s, r)
-            hit = inst.solve(1, 2 * r + 3, Budget())
+            hit = inst._deepen(1, 2 * r + 3, Budget())
             self.assertEqual(len(hit), brute)
             # collect prunes no symmetric subtree, unlike solve
             self.assertEqual(inst.collect(brute - 1, Budget()), [])

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from ppric import bounds
+from ppric import bounds, search
 from ppric.codes import make_code, verify_enumeration, verify_exact
+from ppric.construct import available_recipes
 from ppric.cover import Budget
 from ppric.errors import CapacityError, ParameterError
 from ppric.search import (
@@ -99,11 +100,12 @@ SOUNDNESS_GRID = [(L, s, r) for L in range(3, 10) for s in range(1, L)
 
 @pytest.mark.parametrize("L,s,r", SOUNDNESS_GRID)
 def test_orbital_minimum_matches_full_enumeration(L, s, r):
-    # solve prunes symmetric subtrees and deepens from size 1; collect
-    # prunes none, so it must find no code one size below solve's and
-    # list solve's witness among the codes of its size
+    # the deepening prunes symmetric subtrees and starts at size 1, with
+    # no greedy cover to stop it early; collect prunes none, so it must
+    # find no code one size below the deepening's and list its witness
+    # among the codes of its size
     space = _Space(L, s, r)
-    hit = space.solve(1, len(space.sets), Budget(2_000_000))
+    hit = space._deepen(1, len(space.sets), Budget(2_000_000))
     m = len(hit)
     if m > 1:
         assert space.collect(m - 1, Budget(2_000_000)) == []
@@ -112,6 +114,48 @@ def test_orbital_minimum_matches_full_enumeration(L, s, r):
     code = space.make_code(hit)
     assert verify_exact(code).is_ppric
     assert verify_enumeration(code).is_ppric
+
+
+@pytest.mark.parametrize("L,s,r", SOUNDNESS_GRID)
+def test_solve_agrees_with_deepening(L, s, r):
+    # the greedy cover only closes the bracket: same minimum either way
+    space = _Space(L, s, r)
+    hit = space.solve(1, len(space.sets), Budget(2_000_000))
+    assert len(hit) == len(space._deepen(1, len(space.sets),
+                                         Budget(2_000_000)))
+    assert verify_exact(space.make_code(hit)).is_ppric
+
+
+@pytest.mark.parametrize("L,s,r", [(7, 3, 0), (9, 4, 0), (12, 4, 0),
+                                   (11, 3, 2), (12, 3, 3)])
+def test_catalog_witness_closes_the_bracket(L, s, r):
+    # the smallest catalog code meets the lower bound: no tree is searched
+    lower = bounds.best_lower(L, s, r)
+    assert available_recipes(L, s, r)[0].size == lower
+    res = exact_n_search(L, s, r)
+    assert (res.n_exact, res.nodes_explored) == (lower, 0)
+    assert res.witness.codewords[0].support() == frozenset(range(1, s + 1))
+    assert verify_exact(res.witness).is_ppric
+
+
+def test_catalog_self_check_raises(monkeypatch):
+    # an explicit raise, so it holds under python -O too
+    class Failing:
+        is_ppric = False
+
+    monkeypatch.setattr(search, "verify_exact", lambda code: Failing)
+    with pytest.raises(AssertionError, match="fails verify_exact"):
+        exact_n_search(7, 3, 0)
+
+
+def test_greedy_closes_the_bracket():
+    # (9,3,2): the greedy cover has best_lower = 12 words, where the
+    # catalog offers 14 and the tree spent 2M nodes without finding one
+    assert bounds.best_lower(9, 3, 2) == 12
+    assert available_recipes(9, 3, 2)[0].size == 14
+    res = exact_n_search(9, 3, 2)
+    assert (res.n_exact, res.nodes_explored) == (12, 0)
+    assert verify_enumeration(res.witness).is_ppric
 
 
 def test_deterministic_witness():
@@ -169,7 +213,7 @@ def test_space_masks_match_definition(L, s, r):
 
 def test_s_zero_trivial():
     res = exact_n_search(5, 0, 2)
-    assert res.n_exact == 1
+    assert (res.n_exact, res.nodes_explored) == (1, 0)
     assert res.witness.codewords[0].mask == 0
 
 
