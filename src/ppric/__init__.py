@@ -1,11 +1,11 @@
 """Intersection-covering constant-weight codes, end to end.
 
-The pieces: word types and metric helpers (``words``), the covering
-property and its verifiers (``codes``), covering designs (``covering``),
-lower/upper bounds and the exact-value table (``bounds``), constructions
-(``construct``), exhaustive minimum search (``search``, on the
-minimum-set-cover engine in ``cover``), q-ary and
-fixed-weight-scheme transfer (``schemes``), and the multi-server
+The pieces: word types, metric helpers and the one whole-space scan
+engine (``words``), the covering property and its verifiers (``codes``),
+covering designs (``covering``), lower/upper bounds and the exact-value
+table (``bounds``), constructions (``construct``), exhaustive minimum
+search (``search``, on the minimum-set-cover engine in ``cover``), q-ary
+and fixed-weight-scheme transfer (``schemes``), and the multi-server
 retrieval protocol (``protocol``).  ``cli`` fronts all of it.
 """
 

@@ -15,8 +15,9 @@ which turns verification into a family of hitting problems: with
 a violator of weight w in {r+1..L} exists iff h(ceil((w-r)/2)) <= w.
 verify_exact solves h by branch and bound, one connected component of
 the code at a time and within a node budget; verify_enumeration re-derives
-the verdict from scratch with characteristic vectors over all 2^L words so
-the two routes stay independent checks of one another.
+the verdict from scratch over all 2^L words, one bit lane each, on the scan
+engine in ``words``, so the two routes stay independent checks of one
+another.
 """
 
 from __future__ import annotations
@@ -31,9 +32,12 @@ from .jsondoc import JsonDoc
 from .words import (
     BinaryWord,
     SchemeParams,
-    ball_vector,
-    min_weight_member,
-    xor_translate,
+    _at_most,
+    _binary_identity,
+    _bit_planes,
+    _lightest,
+    binom,
+    check_scan_work,
 )
 
 
@@ -104,12 +108,10 @@ class Verdict:
     gamma_profile: dict[int, int] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        viol = None
-        if self.violator is not None:
-            viol = getattr(self.violator, "to_string", lambda: str(self.violator))()
         return {
             "is_ppric": self.is_ppric,
-            "violator": viol,
+            "violator": (None if self.violator is None
+                         else self.violator.to_string()),
             "gamma_profile": {str(g): h for g, h in sorted(self.gamma_profile.items())},
         }
 
@@ -376,67 +378,48 @@ def verify_exact(code: PpricCode, node_budget: int | None = None) -> Verdict:
 def verify_enumeration(code: PpricCode) -> Verdict:
     """Independent verdict from a full scan of F_2^L (L <= 24).
 
-    Characteristic vectors: intersect the translated balls B(c, r+s) and
+    Bit lanes, lane index = mask: intersect the balls B(c, r+s) and
     compare against B(0, r).  The reported violator is the lowest-weight
-    word in the difference, ties to the smallest mask value.
+    word in the difference, ties to the smallest mask value.  Up to
+    L = 20 the gamma profile is rescanned too: h(gamma) is the lightest
+    lane meeting every support at least gamma times.
     """
     L, s, r = code.params.L, code.params.s, code.params.r
-    extra = _ball_intersection(L, s, r, code.masks()) & ~ball_vector(L, r)
-    if not extra:
-        return Verdict(True, None, _enumeration_profile(code))
-    y = min_weight_member(extra, L)
-    return Verdict(False, BinaryWord(L, y), _enumeration_profile(code))
-
-
-def _enumeration_profile(code: PpricCode) -> dict[int, int]:
-    """gamma -> h(gamma) recomputed by brute scan (kept when 2^L is small)."""
-    L, s, r = code.params.L, code.params.s, code.params.r
-    if L > 20:
-        return {}
-    masks = code.masks()
-    grange = _gamma_range(L, s, r)
-    best: dict[int, int] = {}
-    for y in range(1 << L):
-        g = min((y & m).bit_count() for m in masks)
-        if g >= 1:
-            w = y.bit_count()
-            for gamma in grange:
-                if gamma <= g and w < best.get(gamma, L + 1):
-                    best[gamma] = w
-    return {g: best[g] for g in grange if g in best}
+    one = _bit_planes(L)
+    # B(0, r) lies in every ball, so the difference has no word that light
+    bad = _lightest(_binary_identity(one, 0, code.masks(), r, s), one, r + 1)
+    supports = [[p for c, p in enumerate(one) if m >> c & 1]
+                for m in code.masks()]
+    profile: dict[int, int] = {}
+    # hits shrinks as gamma grows, so h(gamma) never undercuts h(gamma - 1)
+    hits, h = (1 << (1 << L)) - 1, 0
+    for gamma in _gamma_range(L, s, r) if L <= 20 else ():
+        for planes in supports:
+            hits ^= _at_most(planes, gamma - 1, hits)
+        found = _lightest(hits, one, h)
+        if found is None:
+            break
+        h = profile[gamma] = found[0]
+    if bad is None:
+        return Verdict(True, None, profile)
+    return Verdict(False, BinaryWord(L, bad[1]), profile)
 
 
 def full_sphere_identity_holds(L: int, s: int, r: int) -> bool:
     """Does B(0,r) equal the intersection of B(z, r+s) over ALL weight-s z?
 
     Pure enumeration oracle (the triple may be inadmissible; that is the
-    point).  True exactly when r + 2s + 1 <= L.
+    point).  True exactly when r + 2s + 1 <= L.  The scan is held to
+    SCAN_WORK_CAP like any other sphere-identity scan.
     """
     if not 0 <= r < L:
         raise ParameterError("need 0 <= r < L")
     if s < 0 or s > L:
         raise ParameterError("need 0 <= s <= L")
+    check_scan_work(1 << L, binom(L, s), L)
     centres = (sum(1 << i for i in supp)
                for supp in itertools.combinations(range(L), s))
-    return _ball_intersection(L, s, r, centres) == ball_vector(L, r)
-
-
-def _ball_intersection(L: int, s: int, r: int, centres) -> int:
-    """Characteristic vector of the intersection of B(c, r+s) over the
-    weight-s masks ``centres``, or of B(0, r) once it gets there.
-
-    Every such ball contains B(0, r), so once the running intersection
-    equals it, it stays equal and the remaining centres are skipped.
-    ``ball_vector`` raises CapacityError past L = 24.
-    """
-    ball_r = ball_vector(L, r)
-    ball_big = ball_vector(L, r + s)
-    inter = (1 << (1 << L)) - 1
-    for c in centres:
-        inter &= xor_translate(ball_big, c, L)
-        if inter == ball_r:
-            break
-    return inter
+    return not _binary_identity(_bit_planes(L), 0, centres, r, s)
 
 
 def mippr_min_weight(code: PpricCode) -> int | None:

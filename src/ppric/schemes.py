@@ -4,34 +4,35 @@ The ball-intersection identity B(x,r) = intersection of B(z,r+s) over the
 distance-s sphere holds in any symmetric scheme whose diameter is at least
 r+2s+1, so proximity codes carry over with the metric swapped.  Everything
 here runs at enumeration scale: spaces are scanned outright and verdicts
-are definitional.  An identity scan gives each word of the space, in
-``itertools`` order, one bit lane, and counts on ``words._at_most``, the
-bit-lane counter of the protocol's server scan.
+are definitional.  An identity scan runs on ``words._scan_identity``, the
+one whole-space scan engine: each word of the space, in ``itertools``
+order, gets one bit lane, counted on the protocol's bit-lane counter, and
+the scan's mask of disagreeing lanes is decoded here.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
 
-from .codes import PpricCode, Verdict, full_sphere_identity_holds
+from .codes import PpricCode, Verdict
 from .construct import ConstructionError
 from .cover import UNIVERSE_CAP, Budget, Cover
 from .covering import CoveringDesign, verify_covering
 from .errors import CapacityError, FormatError, ParameterError
 from .jsondoc import JsonDoc
 from .words import (
-    SCAN_WORK_CAP,
     BinaryWord,
     JohnsonWord,
     QaryWord,
-    _at_most,
+    _binary_identity,
+    _bit_planes,
     _johnson_plane,
     _qary_plane,
+    _scan_identity,
     binom,
-    check_scan,
+    check_scan_work,
     diameter,
     enumerate_ball,
     enumerate_sphere,
@@ -47,34 +48,26 @@ COVERING_PAIR_CAP = 1 << 26
 # the sphere identity, checked over the whole space at once
 # ---------------------------------------------------------------------------
 
-def _scan_identity(plane, size: int, center, sphere, r: int, s: int):
-    """Lowest lane on which B(center, r) and the intersection of the
-    B(z, r+s) over the sphere disagree, or None.  Lane i is word i of the
-    space; words come as features, ``plane(f)`` is the lanes carrying f,
-    and a lane's distance to a word is how many features it lacks."""
-    check_scan(size)
-    full = (1 << size) - 1
-    cap = full
-    for z in sphere:
-        cap &= _at_most((full ^ plane(f) for f in z), r + s, full)
-    diff = _at_most((full ^ plane(f) for f in center), r, full) ^ cap
-    return (diff & -diff).bit_length() - 1 if diff else None
-
-
 def _qary_identity(q: int, L: int, center: tuple, sphere, r: int, s: int):
     """First word of [q]^L, in product order, on which the identity fails."""
-    i = _scan_identity(lambda f: _qary_plane(q, L, *f), q ** L,
-                       enumerate(center), map(enumerate, sphere), r, s)
-    return None if i is None else tuple(i // q ** (L - 1 - j) % q
-                                        for j in range(L))
+    def planes(word):
+        return (_qary_plane(q, L, j, a) for j, a in enumerate(word))
+    diff = _scan_identity(q ** L, planes(center), map(planes, sphere), r, s)
+    if not diff:
+        return None
+    i = (diff & -diff).bit_length() - 1
+    return tuple(i // q ** (L - 1 - j) % q for j in range(L))
 
 
 def _johnson_identity(n: int, L: int, center, sphere, r: int, s: int):
     """First L-subset of 1..n, in combination order, on which it fails."""
-    i = _scan_identity(functools.partial(_johnson_plane, n, L), binom(n, L),
-                       center, sphere, r, s)
-    if i is None:
+    def planes(word):
+        return (_johnson_plane(n, L, p) for p in word)
+    diff = _scan_identity(binom(n, L), planes(center), map(planes, sphere),
+                          r, s)
+    if not diff:
         return None
+    i = (diff & -diff).bit_length() - 1
     word, a = [], 1
     for k in range(L, 0, -1):
         while i >= binom(n - a, k - 1):
@@ -116,13 +109,11 @@ def verify_symmetric_sphere_identity(x, r: int, s: int) -> bool:
         )
     if s == 0:
         return True
-    # each sphere word and the centre add x.length planes of size lanes
-    if size * (sphere_size + 1) * x.length > SCAN_WORK_CAP:
-        raise CapacityError("identity scan work exceeds SCAN_WORK_CAP = 2**32")
-    if isinstance(x, BinaryWord):
-        # the identity is translation invariant, so centre it on zero
-        return full_sphere_identity_holds(x.length, s, r)
+    check_scan_work(size, sphere_size, x.length)
     sphere = enumerate_sphere(x, s)
+    if isinstance(x, BinaryWord):
+        return not _binary_identity(_bit_planes(x.length), x.mask,
+                                    (z.mask for z in sphere), r, s)
     if isinstance(x, QaryWord):
         return _qary_identity(x.q, x.length, x.symbols,
                               (z.symbols for z in sphere), r, s) is None

@@ -28,7 +28,7 @@ from .construct import available_recipes, build_recipe
 from .cover import DEFAULT_NODE_BUDGET, POOL_CAP, UNIVERSE_CAP, Budget, Cover
 from .errors import CapacityError, ParameterError
 from .jsondoc import JsonDoc
-from .words import BinaryWord, SchemeParams, binom
+from .words import BinaryWord, SchemeParams, _at_most, _bit_planes, binom
 
 
 @dataclass(frozen=True)
@@ -169,27 +169,27 @@ def minimal_codes_enumerate(L: int, s: int, r: int, m: int,
 
 def _minimal_intersection_weights(code: PpricCode) -> dict[int, int]:
     """Weight multiset of all support-minimal intersection words, by a
-    scan of all 2^L words."""
+    scan of F_2^L in bit lanes, lane index = mask.
+
+    ``hits`` holds the words meeting every support (never the empty
+    word); one of them is not minimal when dropping some bit c leaves a
+    word of ``hits``, that is when it is a lane of ``hits`` without bit c
+    moved up by 2^c.
+    """
     L = code.params.L
-    masks = code.masks()
-    hits_all = [False] * (1 << L)
-    for v in range(1, 1 << L):
-        hits_all[v] = all(v & c for c in masks)
+    one = _bit_planes(L)
+    hits = (1 << (1 << L)) - 1
+    for m in code.masks():
+        hits ^= _at_most([p for c, p in enumerate(one) if m >> c & 1], 0, hits)
+    minimal = hits
+    for c, p in enumerate(one):
+        minimal &= ~(((hits & ~p) << (1 << c)) & p)
     weights: dict[int, int] = {}
-    for v in range(1, 1 << L):
-        if not hits_all[v]:
-            continue
-        minimal = True
-        vv = v
-        while vv:
-            low = vv & -vv
-            if hits_all[v ^ low]:
-                minimal = False
-                break
-            vv ^= low
-        if minimal:
-            w = v.bit_count()
-            weights[w] = weights.get(w, 0) + 1
+    below = 0  # minimal words lighter than w
+    for w in range(L + 1):
+        count = _at_most(one, w, minimal).bit_count()
+        if count > below:
+            weights[w], below = count - below, count
     return weights
 
 

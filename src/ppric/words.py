@@ -10,15 +10,25 @@ are L-subsets of {1..n} with d(x, y) = |x \\ y| (half the Hamming distance
 of the characteristic vectors); we keep the canonical-position convention
 2L <= n so that a word and its complement never collide.
 
-Enumerations and bit-sliced scans of a whole space share one rule,
-``check_scan``: at most SCAN_CAP = 2**24 words, one lane each (binary
-L <= 24, q-ary q**L <= 2**24, Johnson C(n, L) <= 2**24).  Past it a
-CapacityError is raised rather than an open-ended scan.
+This module is also the one whole-space scan engine.  A space is a big
+int with one bit lane per word, in enumeration order: F_2^L with lane
+index = mask, [q]^L in product order, J(n, L) in combination order.  A
+word is a set of features, each with a plane of the lanes carrying it;
+a lane's distance to the word is how many of those planes miss it, which
+``_at_most`` counts for every lane at once.  ``_scan_identity`` checks
+the sphere identity this way in all three spaces, and the binary
+verdicts, profiles and weight counts of ``codes`` and ``search`` read
+F_2^L the same way.
+
+Enumerations and scans share one rule, ``check_scan``: at most SCAN_CAP =
+2**24 words, one lane each (binary L <= 24, q-ary q**L <= 2**24, Johnson
+C(n, L) <= 2**24).  An identity scan also keeps within SCAN_WORK_CAP
+lane-plane additions (``check_scan_work``).  Past either a CapacityError
+is raised rather than an open-ended scan.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -200,7 +210,7 @@ def distance(a, b) -> int:
     return hamming_distance(a, b)
 
 
-def diameter(kind: str, L: int, n: int = 0, q: int = 2) -> int:
+def diameter(kind: str, L: int, n: int = 0) -> int:
     """Largest distance realized in the scheme (needed by identity checks)."""
     if kind in ("binary", "qary"):
         return L
@@ -242,6 +252,13 @@ def check_scan(size: int) -> None:
     """Refuse to enumerate or scan a space of more than SCAN_CAP words."""
     if size > SCAN_CAP:
         raise CapacityError(f"space of {size} words exceeds SCAN_CAP = 2**24")
+
+
+def check_scan_work(lanes: int, sphere: int, L: int) -> None:
+    """Refuse an identity scan of more than SCAN_WORK_CAP lane-plane
+    additions: the centre and each sphere word add L planes of ``lanes``."""
+    if lanes * (sphere + 1) * L > SCAN_WORK_CAP:
+        raise CapacityError("identity scan work exceeds SCAN_WORK_CAP = 2**32")
 
 
 def enumerate_sphere(center, radius: int) -> Iterator:
@@ -294,69 +311,9 @@ def enumerate_weight_class(L: int, s: int) -> Iterator[BinaryWord]:
 
 
 # ---------------------------------------------------------------------------
-# big-int lane vectors: bit y stands for word y of a space (or record y+1)
+# the scan engine: bit i of a big int stands for word i of a space (or
+# record i+1), and a word's distance to a lane is counted over its planes
 # ---------------------------------------------------------------------------
-
-@functools.cache
-def weight_vectors(L: int) -> list[int]:
-    """weight_vectors(L)[w] has bit y set iff popcount(y) == w.
-
-    Built by doubling: a word of length l+1 is a length-l word plus a top
-    bit, so each class is the old class OR the (w-1)-class shifted by 2^l.
-    """
-    check_scan(1 << L)
-    vecs = [1]  # L = 0: the empty word has weight 0
-    for ell in range(L):
-        shift = 1 << ell
-        nxt = []
-        for w in range(len(vecs) + 1):
-            lo = vecs[w] if w < len(vecs) else 0
-            hi = vecs[w - 1] if w >= 1 else 0
-            nxt.append(lo | (hi << shift))
-        vecs = nxt
-    return vecs
-
-
-def ball_vector(L: int, radius: int) -> int:
-    """Characteristic vector of B(0, radius)."""
-    vecs = weight_vectors(L)
-    out = 0
-    for w in range(0, min(radius, L) + 1):
-        out |= vecs[w]
-    return out
-
-
-@functools.cache
-def _level_masks(L: int) -> list[int]:  # bit j of the word y is 0
-    return [_qary_plane(2, L, L - 1 - j, 0) for j in range(L)]
-
-
-def xor_translate(vector: int, z: int, L: int) -> int:
-    """Characteristic vector of {y ^ z : y in set(vector)}.
-
-    Butterfly: translating by z swaps the two half-spaces at every bit
-    position set in z.
-    """
-    levels = _level_masks(L)
-    for j in range(L):
-        if z >> j & 1:
-            step = 1 << j
-            A = levels[j]
-            vector = ((vector & A) << step) | ((vector >> step) & A)
-    return vector
-
-
-def min_weight_member(vector: int, L: int) -> int | None:
-    """Lowest-weight word in the set, ties broken by smallest mask value."""
-    if not vector:
-        return None
-    vecs = weight_vectors(L)
-    for w in range(L + 1):
-        sect = vector & vecs[w]
-        if sect:
-            return (sect & -sect).bit_length() - 1
-    return None
-
 
 def _at_most(planes, radius: int, full: int) -> int:
     """Lanes of ``full`` set in at most ``radius`` planes (none if < 0).
@@ -419,6 +376,58 @@ def _johnson_plane(n: int, L: int, p: int) -> int:
             return join(lo, mid) | join(mid, hi) << shift
         return row.get(lo + 1, 0) if lo < p else (1 << binom(n - p, L - 1)) - 1
     return join(1, p + 1)
+
+
+def _bit_planes(L: int) -> list[int]:
+    """F_2^L as lanes, lane index = mask: entry c holds the lanes whose
+    word has bit c set, symbol L-1-c of [2]^L in product order."""
+    check_scan(1 << L)
+    return [_qary_plane(2, L, L - 1 - c, 1) for c in range(L)]
+
+
+def _lightest(lanes: int, one: list[int], w: int = 0) -> tuple[int, int] | None:
+    """(weight, lane) of the lightest of ``lanes`` in F_2^L, ties to the
+    lowest lane, or None (``one = _bit_planes(L)``).  The search starts at
+    weight w, which no lane may undercut."""
+    if lanes:
+        for w in range(w, len(one) + 1):
+            light = _at_most(one, w, lanes)
+            if light:
+                return w, (light & -light).bit_length() - 1
+    return None
+
+
+def _scan_identity(size: int, center, sphere, r: int, s: int) -> int:
+    """Lanes on which B(center, r) and the intersection of the B(z, r+s)
+    over the sphere disagree.  Lane i is word i of the space; a word comes
+    as the planes of its features, each the lanes carrying that feature,
+    and a lane's distance to the word is how many of them miss it.  The
+    planes are read only after the space has passed ``check_scan``.
+
+    Every sphere word lies within s of the centre, so each B(z, r+s)
+    holds B(center, r): once the running intersection is down to it, the
+    rest of the sphere is skipped."""
+    check_scan(size)
+    full = (1 << size) - 1
+    ball = _at_most((full ^ p for p in center), r, full)
+    cap = full
+    for z in sphere:
+        cap = _at_most((full ^ p for p in z), r + s, cap)
+        if cap == ball:
+            return 0
+    return cap ^ ball
+
+
+def _binary_identity(one: list[int], center: int, sphere, r: int,
+                     s: int) -> int:
+    """``_scan_identity`` on F_2^L (``one = _bit_planes(L)``), the words
+    given as masks: a word's features are its L bits."""
+    full = (1 << (1 << len(one))) - 1
+
+    def planes(m):  # per bit c, the lanes agreeing with m there
+        return (p if m >> c & 1 else full ^ p for c, p in enumerate(one))
+    return _scan_identity(1 << len(one), planes(center), map(planes, sphere),
+                          r, s)
 
 
 # ---------------------------------------------------------------------------

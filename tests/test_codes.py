@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from ppric import codes
 from ppric.codes import (
     PpricCode,
     _components,
-    _enumeration_profile,
+    _gamma_range,
     _min_multihit_set,
     full_sphere_identity_holds,
     make_code,
@@ -24,6 +25,37 @@ from ppric.construct import build_extremal
 from ppric.cover import Budget
 from ppric.errors import CapacityError, FormatError, ParameterError
 from ppric.words import BinaryWord, SchemeParams, enumerate_ball
+
+
+def brute_enumeration(code):
+    """The per-word reference for verify_enumeration, a loop over all 2^L
+    words: (verdict, the lightest violator's mask with ties to the
+    smallest or None, gamma -> h(gamma) as the lightest word meeting
+    every support at least gamma times)."""
+    L, s, r = code.params.L, code.params.s, code.params.r
+    masks = code.masks()
+    grange = _gamma_range(L, s, r)
+    violator, best = None, {}
+    for y in range(1 << L):
+        w = y.bit_count()
+        if (r < w and (violator is None or w < violator.bit_count())
+                and all((y ^ m).bit_count() <= r + s for m in masks)):
+            violator = y
+        g = min((y & m).bit_count() for m in masks)
+        for gamma in grange:
+            if gamma <= g and w < best.get(gamma, L + 1):
+                best[gamma] = w
+    return violator is None, violator, {g: best[g] for g in grange if g in best}
+
+
+def brute_full_sphere(L, s, r):
+    """Per-word reference for full_sphere_identity_holds: is every word
+    within r+s of all weight-s words exactly a word of weight <= r?"""
+    sphere = [sum(1 << c for c in supp)
+              for supp in itertools.combinations(range(L), s)]
+    return all((y.bit_count() <= r)
+               == all((y ^ z).bit_count() <= r + s for z in sphere)
+               for y in range(1 << L))
 
 
 def test_code_construction_checks():
@@ -105,15 +137,46 @@ def test_enumeration_cap():
 
 
 def test_full_sphere_identity_boundary():
-    # the identity holds exactly on admissible triples
+    # the identity holds exactly on admissible triples, and the scan
+    # agrees with the per-word reference
     for L in range(2, 9):
         for s in range(0, L + 1):
             for r in range(0, L):
-                assert full_sphere_identity_holds(L, s, r) == (r + 2 * s + 1 <= L), (
-                    L,
-                    s,
-                    r,
-                )
+                got = full_sphere_identity_holds(L, s, r)
+                assert got == (r + 2 * s + 1 <= L), (L, s, r)
+                assert got == brute_full_sphere(L, s, r), (L, s, r)
+
+
+def test_full_sphere_identity_work_cap():
+    # C(24, 5) = 42,504 centres of 2^24 lanes: refused before any scan
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="SCAN_WORK_CAP"):
+        full_sphere_identity_holds(24, 5, 14)
+    assert time.perf_counter() - start < 1
+    # the largest test triples stay admitted: 2^12 lanes x 925 x 12
+    assert full_sphere_identity_holds(12, 6, 0) is False
+    assert full_sphere_identity_holds(12, 5, 1) is True
+
+
+def test_enumeration_matches_brute_force():
+    # random codes, most of them failing, and a few at L >= 17, where the
+    # scan lanes are wider than a machine word many times over
+    rng = random.Random(15)
+    shapes = [(rng.randint(5, 12), rng.randint(1, 8)) for _ in range(40)]
+    shapes += [(17, 3), (18, 2)]
+    failed = 0
+    for L, size in shapes:
+        s = rng.randint(1, (L - 1) // 3)
+        r = rng.randint(0, L - 2 * s - 1)
+        pool = list(itertools.combinations(range(1, L + 1), s))
+        code = make_code(L, s, r, rng.sample(pool, min(size, len(pool))))
+        ok, violator, profile = brute_enumeration(code)
+        got = verify_enumeration(code)
+        assert got.is_ppric == ok, code
+        assert got.violator == (None if ok else BinaryWord(L, violator)), code
+        assert got.gamma_profile == profile, code
+        failed += not ok
+    assert failed >= 20
 
 
 def test_min_multihit_weight():
@@ -202,7 +265,7 @@ def test_split_matches_enumeration_on_random_unions(seed):
         L, s, r = code.params.L, code.params.s, code.params.r
         exact, enum = verify_exact(code), verify_enumeration(code)
         assert exact.is_ppric == enum.is_ppric
-        # the enumeration verdict carries _enumeration_profile(code)
+        # the enumeration verdict carries the rescanned profile
         assert exact.gamma_profile == enum.gamma_profile
         if exact.violator is None:
             continue
@@ -246,7 +309,7 @@ def test_identical_blocks_share_one_memo_entry(monkeypatch):
     verdict = verify_exact(code)
     # one solve per gamma, not one per block
     assert calls == [1, 2]
-    assert verdict.gamma_profile == _enumeration_profile(code)
+    assert verdict.gamma_profile == brute_enumeration(code)[2]
 
 
 def test_multihit_node_budget():

@@ -1,16 +1,18 @@
 import itertools
 import json
+import random
 
 import pytest
 
 from ppric import bounds, search
 from ppric.codes import make_code, verify_enumeration, verify_exact
-from ppric.construct import available_recipes
+from ppric.construct import available_recipes, build_eps8
 from ppric.cover import Budget
 from ppric.errors import CapacityError, ParameterError
 from ppric.search import (
     SearchResult,
     _Space,
+    _minimal_intersection_weights,
     conjecture_probe,
     exact_n_search,
     minimal_codes_enumerate,
@@ -30,6 +32,20 @@ def brute_force_min(L, s, r):
         if hits:
             return m, hits
     raise AssertionError("weight class itself is not a code?")
+
+
+def brute_minimal_weights(code):
+    """Per-word reference for the conjecture probe's weight multisets: the
+    words meeting every support, kept when no one-bit drop still does."""
+    L = code.params.L
+    masks = code.masks()
+    hits = [all(v & m for m in masks) for v in range(1 << L)]
+    weights = {}
+    for v in range(1, 1 << L):
+        if hits[v] and not any(hits[v ^ 1 << c]
+                               for c in range(L) if v >> c & 1):
+            weights[v.bit_count()] = weights.get(v.bit_count(), 0) + 1
+    return weights
 
 
 def test_small_pinned_values():
@@ -224,8 +240,23 @@ def test_enumerate_oversized_raises():
         minimal_codes_enumerate(6, 2, 0, 5)
 
 
+def test_minimal_intersection_weights_match_brute_force():
+    rng = random.Random(15)
+    codes = [build_eps8(8)]  # L = 17
+    for L in [rng.randint(5, 12) for _ in range(30)] + [17]:
+        s = rng.randint(1, (L - 1) // 3)
+        pool = list(itertools.combinations(range(1, L + 1), s))
+        codes.append(make_code(L, s, 0, rng.sample(
+            pool, min(rng.randint(1, 8), len(pool)))))
+    for code in codes:
+        assert _minimal_intersection_weights(code) == \
+            brute_minimal_weights(code), code
+
+
 def test_conjecture_probe():
     rep = conjecture_probe(6, 2, 1)
+    codes = minimal_codes_enumerate(6, 2, 1, rep.n_exact)
+    assert rep.weight_multisets == [brute_minimal_weights(c) for c in codes]
     assert rep.n_exact == 6
     assert rep.expected == 4  # r + 3
     assert rep.min_weights and all(w >= 1 for w in rep.min_weights)

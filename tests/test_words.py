@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +10,10 @@ from ppric.words import (
     JohnsonWord,
     QaryWord,
     SchemeParams,
+    _binary_identity,
+    _bit_planes,
+    _lightest,
     ball_size,
-    ball_vector,
     binom,
     diameter,
     distance,
@@ -20,10 +23,7 @@ from ppric.words import (
     hamming_distance,
     johnson_distance,
     johnson_sphere_size,
-    min_weight_member,
     sphere_size,
-    weight_vectors,
-    xor_translate,
 )
 
 
@@ -95,7 +95,7 @@ def test_distances():
 
 def test_diameter():
     assert diameter("binary", 7) == 7
-    assert diameter("qary", 7, q=5) == 7
+    assert diameter("qary", 7) == 7
     assert diameter("johnson", 4, n=9) == 4
     assert diameter("johnson", 6, n=12) == 6
 
@@ -128,18 +128,51 @@ def test_qary_sphere_enumeration():
     assert got == math.comb(4, 2) * 4  # choose positions, then nonzero symbols
 
 
-def test_big_vector_layer():
-    # the 2^L-bit characteristic-vector helpers agree with word enumeration
+def test_bit_lanes_index_words_by_mask():
+    # lane y of F_2^L is the word with mask y, bit by bit
+    for L in range(1, 9):
+        one = _bit_planes(L)
+        assert len(one) == L
+        for c, plane in enumerate(one):
+            assert plane >> (1 << L) == 0
+            for y in range(1 << L):
+                assert plane >> y & 1 == y >> c & 1, (L, c, y)
+    with pytest.raises(CapacityError):
+        _bit_planes(25)
+
+
+def test_lightest_lane():
+    # the lightest word of a lane set, ties to the smallest mask, also
+    # when the search starts at a weight w no lane is lighter than
+    L = 7
+    one = _bit_planes(L)
+    assert _lightest(0, one) is None
+    rng = random.Random(3)
+    for _ in range(50):
+        w = rng.randint(0, 3)
+        words = [y for y in range(1 << L)
+                 if y.bit_count() >= w and rng.random() < 0.2]
+        lanes = sum(1 << y for y in words)
+        want = min(words, key=lambda y: (y.bit_count(), y), default=None)
+        assert _lightest(lanes, one, w) == (
+            None if want is None else (want.bit_count(), want))
+
+
+def test_binary_identity_matches_per_word():
+    # the mask of disagreeing lanes, against B(center, r) and the
+    # B(z, r+s) word by word, for sphere parts around non-zero centres
     L = 6
-    levels = weight_vectors(L)
-    assert sum(v.bit_count() for v in levels) == 1 << L
-    ball = ball_vector(L, 2)
-    assert ball.bit_count() == ball_size(L, 2)
-    shifted = xor_translate(ball, 1, L)  # translate by e_1
-    members = {i for i in range(1 << L) if shifted >> i & 1}
-    assert members == {m ^ 1 for m in range(1 << L) if ball >> m & 1}
-    assert min_weight_member(ball, L) == 0
-    assert min_weight_member(0, L) is None
+    one = _bit_planes(L)
+    rng = random.Random(5)
+    for _ in range(60):
+        center = rng.getrandbits(L)
+        s, r = rng.randint(1, 3), rng.randint(0, 3)
+        sphere = [z.mask for z in enumerate_sphere(BinaryWord(L, center), s)]
+        part = rng.sample(sphere, rng.randint(1, len(sphere)))
+        want = sum(1 << y for y in range(1 << L)
+                   if ((y ^ center).bit_count() <= r)
+                   != all((y ^ z).bit_count() <= r + s for z in part))
+        assert _binary_identity(one, center, part, r, s) == want
 
 
 def test_binary_cap():
