@@ -144,12 +144,14 @@ def lb_r0_special(L: int, s: int) -> int | None:
 
 
 # Regime-table values the recipe catalog cannot realize but exhaustive
-# search has: a minimum-size code was exhibited at each.  And the grid
-# points where search disproved the table value altogether: no 6-codeword
-# code exists at (9, 3, 1) (minimum 7), and no 7-codeword code at
-# (12, 3, 2) (minimum 8).  The test suite replays both refutations and
-# both witnesses, each search within 2M nodes.
-_SEARCH_CONFIRMED = {(8, 3, 0): 4, (10, 3, 1): 6, (11, 3, 1): 5, (11, 5, 0): 6}
+# search has: a code of that size was exhibited at each, by the tree or by
+# a greedy cover meeting the lower bound.  And the grid points where search
+# disproved the table value: no 6-codeword code exists at (9, 3, 1)
+# (minimum 7), and no 7-codeword code at (12, 3, 2) (minimum 8).  The test
+# suite replays every certificate and both refutations.
+_SEARCH_CONFIRMED = {(8, 3, 0): 4, (10, 3, 1): 6, (11, 3, 1): 5, (11, 5, 0): 6,
+    (12, 5, 0): 5, (13, 3, 2): 7, (13, 5, 0): 4, (13, 6, 0): 6, (14, 3, 2): 6,
+    (14, 5, 0): 4, (15, 7, 0): 6, (16, 3, 3): 8, (17, 3, 3): 7}
 _SEARCH_REFUTED = {(9, 3, 1), (12, 3, 2)}
 
 

@@ -410,13 +410,16 @@ def full_sphere_identity_holds(L: int, s: int, r: int) -> bool:
 
     Pure enumeration oracle (the triple may be inadmissible; that is the
     point).  True exactly when r + 2s + 1 <= L.  The scan is held to
-    SCAN_WORK_CAP like any other sphere-identity scan.
+    SCAN_WORK_CAP like any other sphere-identity scan; none runs where
+    r + s >= L, since every B(z, r+s) is then F_2^L.
     """
     if not 0 <= r < L:
         raise ParameterError("need 0 <= r < L")
     if s < 0 or s > L:
         raise ParameterError("need 0 <= s <= L")
     check_scan_work(1 << L, binom(L, s), L)
+    if r + s >= L:
+        return False
     centres = (sum(1 << i for i in supp)
                for supp in itertools.combinations(range(L), s))
     return not _binary_identity(_bit_planes(L), 0, centres, r, s)

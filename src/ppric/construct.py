@@ -25,7 +25,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .codes import PpricCode, min_multihit_sets, verify_exact
-from .cover import POOL_CAP
+from .cover import check_build
 from .covering import (
     CoveringDesign,
     all_pairs_design,
@@ -33,7 +33,7 @@ from .covering import (
     singleton_design,
     verify_covering,
 )
-from .errors import CapacityError, ParameterError
+from .errors import ParameterError
 from .words import BinaryWord, SchemeParams, binom
 
 
@@ -312,8 +312,8 @@ class Family:
 
 
 def _full_code(L: int, s: int, r: int) -> PpricCode:
-    if binom(L, s) > POOL_CAP:
-        raise CapacityError(f"full code C({L},{s}) exceeds {POOL_CAP} words")
+    # the search's candidate pool, with no elements
+    check_build(binom(L, s), 0)
     words = tuple(
         BinaryWord.from_support(L, [c + 1 for c in supp])
         for supp in itertools.combinations(range(L), s)

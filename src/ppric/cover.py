@@ -6,6 +6,9 @@ c(n, k, t) (``covering``) and the Johnson-scheme 2r+3 check
 (``schemes``).  Each caller states only its instance, a ``Cover`` of
 ground-set masks in which a candidate covers an element when their
 overlap is below a bound; this module builds its bitsets and searches it.
+``check_build`` is the one size rule: the search and the Johnson check
+pass it their instance, counted in closed form, before building it (the
+covering numbers, n <= EXACT_N_CAP, stay far below it).
 
 Candidate 0 is pinned: every cover searched contains it, which each
 caller justifies by symmetry.  ``solve`` brackets the minimum first: a
@@ -51,12 +54,19 @@ import operator
 from .errors import CapacityError, ParameterError
 
 DEFAULT_NODE_BUDGET = 5_000_000
-# the largest instances a caller may build: candidates, and elements over
-# all segments
-POOL_CAP = 5000
-UNIVERSE_CAP = 60_000
+# a build's cost: the (candidate, element) pairs of its two bit tables plus
+# 512 per row (about 12 ns and 0.4 B a pair, 6 us and 100 B a row); the
+# cap is the cost of the binary (72, 2, 67) instance, 2556 by 59,712
+BUILD_CAP = 184_505_088
 # how many uncovered elements to inspect when choosing the branch element
 ELEMENT_WINDOW = 64
+
+
+def check_build(candidates: int, elements: int) -> None:
+    """Refuse an instance whose build costs more than BUILD_CAP."""
+    if candidates * elements + 512 * (candidates + elements) > BUILD_CAP:
+        raise CapacityError(f"cover build of {candidates} candidates by "
+                            f"{elements} elements exceeds BUILD_CAP")
 
 
 def _below(rows: list[int], cols: list[int], bound: int) -> list[int]:

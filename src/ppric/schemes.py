@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .codes import PpricCode, Verdict
 from .construct import ConstructionError
-from .cover import UNIVERSE_CAP, Budget, Cover
+from .cover import Budget, Cover, check_build
 from .covering import CoveringDesign, verify_covering
 from .errors import CapacityError, FormatError, ParameterError
 from .jsondoc import JsonDoc
@@ -275,12 +275,9 @@ def _johnson_cover(n: int, L: int, s: int, r: int) -> Cover:
     so the symmetry cells are x and its complement.
     """
     # B(x, r) lies inside B(v0, r+s), so there are as many elements as
-    # words at distance r+1..r+s from v0; when r + 2s <= L those at r+s
-    # alone outnumber the sphere, so the cap bounds both
+    # words at distance r+1..r+s from v0
     count = sum(johnson_sphere_size(n, L, d) for d in range(r + 1, r + s + 1))
-    if count > UNIVERSE_CAP:
-        raise CapacityError(f"element universe of {count} exceeds "
-                            f"UNIVERSE_CAP = {UNIVERSE_CAP}")
+    check_build(johnson_sphere_size(n, L, s), count)
     x = JohnsonWord(n, frozenset(range(1, L + 1)))
     sphere = list(enumerate_sphere(x, s))
     universe = [y.elements for y in enumerate_ball(sphere[0], r + s)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import bounds
 from .codes import PpricCode, _gamma_range, mippr_min_weight, verify_exact
 from .construct import available_recipes, build_recipe
-from .cover import DEFAULT_NODE_BUDGET, POOL_CAP, UNIVERSE_CAP, Budget, Cover
+from .cover import DEFAULT_NODE_BUDGET, Budget, Cover, check_build
 from .errors import CapacityError, ParameterError
 from .jsondoc import JsonDoc
 from .words import BinaryWord, SchemeParams, _at_most, _bit_planes, binom
@@ -58,26 +58,14 @@ def _checked(code: PpricCode) -> PpricCode:
     return code
 
 
-def _widths(L: int, s: int, r: int) -> list[tuple[int, int]]:
-    """(gamma, |P|) per segment of the (L, s, r) instance; raises
-    CapacityError when its pool or its universe is over the cover caps."""
-    if binom(L, s) > POOL_CAP:
-        raise CapacityError(
-            f"candidate pool C({L},{s}) = {binom(L, s)} exceeds {POOL_CAP}"
-        )
-    widths = [(g, min(r + 2 * g, L)) for g in _gamma_range(L, s, r)]
-    if sum(binom(L, w) for _, w in widths) > UNIVERSE_CAP:
-        raise CapacityError("element universe exceeds the search cap")
-    return widths
-
-
 class _Space(Cover):
     """Candidate pool plus the per-gamma element universes, as a cover
     instance: candidate i is the weight-s word pool[i]."""
 
     def __init__(self, L: int, s: int, r: int):
         self.params = SchemeParams(L, s, r)
-        widths = _widths(L, s, r)
+        widths = [(g, min(r + 2 * g, L)) for g in _gamma_range(L, s, r)]
+        check_build(binom(L, s), sum(binom(L, w) for _, w in widths))
         self.pool = [
             sum(1 << c for c in supp)
             for supp in itertools.combinations(range(L), s)
@@ -131,7 +119,6 @@ def exact_n_search(L: int, s: int, r: int, size_cap: int | None = None,
     lower = bounds.best_lower(L, s, r)
     if size_cap is not None and size_cap < lower:
         raise ParameterError(f"size_cap {size_cap} below the lower bound {lower}")
-    _widths(L, s, r)  # an instance over the caps is refused either way
     catalog = available_recipes(L, s, r)[0]
     if catalog.size == lower:
         return SearchResult(params, lower,

@@ -97,6 +97,7 @@ def test_search_certificates_reproduce():
     from ppric.search import exact_n_search
 
     for (L, s, r), v in sorted(bounds._SEARCH_CONFIRMED.items()):
+        assert bounds.exact_n(L, s, r) == v
         assert exact_n_search(L, s, r, node_budget=10_000_000).n_exact == v
 
 

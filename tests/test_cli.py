@@ -347,6 +347,15 @@ def test_johnson_exact_check(capsys):
     assert doc["confirmed"] is True and doc["size"] == 3
 
 
+def test_johnson_exact_check_capacity_exit(capsys):
+    # 54,600 sphere words by 59,475 elements: past BUILD_CAP, so refused
+    # before the instance is built
+    rc, out, err = run(capsys, "johnson", "--exact-check", "--n", "25",
+                       "--L", "10", "--s", "3", "--r", "0")
+    assert rc == 3 and out == ""
+    assert err.startswith("error: capacity:") and "BUILD_CAP" in err
+
+
 def test_johnson_construct_verify_round_trip(capsys, tmp_path):
     rc, doc = jrun(capsys, "johnson", "--construct", "--n", "10", "--L", "5",
                    "--s", "1", "--r", "1")

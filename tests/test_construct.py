@@ -18,7 +18,7 @@ from ppric.construct import (
     extremal_size,
 )
 from ppric.covering import all_pairs_design, design_9_5_2
-from ppric.errors import ParameterError
+from ppric.errors import CapacityError, ParameterError
 from ppric.words import SchemeParams, binom
 
 
@@ -35,6 +35,10 @@ def test_full():
     code = build_full(5, 2, 0)
     assert code.size == binom(5, 2)
     assert verify_exact(code).is_ppric
+    # the full code is the search's candidate pool, held to the same
+    # build rule: C(22, 9) = 497,420 words are refused unbuilt
+    with pytest.raises(CapacityError, match="BUILD_CAP"):
+        build_full(22, 9, 0)
 
 
 def test_extremal():

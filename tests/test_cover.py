@@ -1,10 +1,14 @@
+from math import comb
+
 import pytest
 
-from ppric.cover import Budget, Cover
+from ppric.codes import _gamma_range
+from ppric.cover import BUILD_CAP, Budget, Cover, check_build
 from ppric.covering import _covering_cover
-from ppric.errors import ParameterError
+from ppric.errors import CapacityError, ParameterError
 from ppric.schemes import _johnson_cover
 from ppric.search import _Space
+from ppric.words import MAX_LENGTH, SCAN_CAP, johnson_sphere_size
 
 
 def test_lane_holds_counts_up_to_255():
@@ -105,3 +109,70 @@ def test_greedy_at_the_lower_bound_spends_no_node(name):
     # and with an upper bound below it there is no cover to return
     assert inst.solve(len(greedy), len(greedy) - 1, budget) is None
     assert budget.nodes == 0
+
+
+def _admitted(candidates, elements):
+    try:
+        check_build(candidates, elements)
+    except CapacityError:
+        return False
+    return True
+
+
+def test_build_cap_is_the_cost_of_72_2_67():
+    # the largest binary instance the two former caps (5000 candidates,
+    # 60,000 elements) admitted, and the rule sits exactly on it
+    assert comb(72, 2) * 59_712 + 512 * (comb(72, 2) + 59_712) == BUILD_CAP
+    assert _admitted(comb(72, 2), 59_712)
+    assert not _admitted(comb(72, 2), 59_713)
+    # rows cost too: (24, 1, 10), 24 candidates by C(24, 12) elements,
+    # has a product of 6.5e7 but is refused
+    assert 24 * comb(24, 12) < BUILD_CAP
+    assert not _admitted(24, comb(24, 12))
+
+
+def test_build_rule_against_the_former_caps():
+    # binary instances: C(L, s) candidates by C(L, min(r+2g, L)) elements
+    # per gamma; past BUILD_CAP // 512 candidates both rules refuse on
+    # the pool alone, so only the smaller pools are counted
+    kept = gained = 0
+    for L in range(3, MAX_LENGTH + 1):
+        for s in range(1, (L - 1) // 2 + 1):
+            candidates = comb(L, s)
+            if candidates > BUILD_CAP // 512:
+                break
+            for r in range(L - 2 * s):
+                elements = sum(comb(L, min(r + 2 * g, L))
+                               for g in _gamma_range(L, s, r))
+                old = candidates <= 5000 and elements <= 60_000
+                new = _admitted(candidates, elements)
+                assert new or not old, (L, s, r)
+                kept += old
+                gained += new and not old
+    assert (kept, gained) == (1374, 271)
+    # Johnson regime instances, L >= s(2r+3) and n >= 2L within SCAN_CAP:
+    # the s-sphere by the words at distance r+1..r+s from v0; the former
+    # rule bounded the elements only
+    lost, gained = [], 0
+    for L in range(3, 14):
+        n = 2 * L
+        while comb(n, L) <= SCAN_CAP:
+            for s in range(1, L // 3 + 1):
+                for r in range((L // s - 3) // 2 + 1):
+                    elements = sum(johnson_sphere_size(n, L, d)
+                                   for d in range(r + 1, r + s + 1))
+                    old = elements <= 60_000
+                    new = _admitted(johnson_sphere_size(n, L, s), elements)
+                    if old and not new:
+                        lost.append((n, L, s, r))
+                    gained += new and not old
+            n += 1
+    assert sorted(lost) == [
+        (20, 9, 3, 0), (20, 10, 3, 0), (21, 9, 3, 0), (21, 10, 3, 0),
+        (22, 9, 3, 0), (22, 10, 3, 0), (22, 11, 3, 0), (23, 9, 3, 0),
+        (23, 10, 3, 0), (23, 11, 3, 0), (24, 9, 3, 0), (24, 10, 2, 1),
+        (24, 10, 3, 0), (24, 11, 2, 1), (24, 11, 3, 0), (24, 12, 2, 1),
+        (24, 12, 3, 0), (25, 9, 3, 0), (25, 10, 2, 1), (25, 10, 3, 0),
+        (49, 6, 2, 0), (50, 6, 2, 0),
+    ]
+    assert gained == 43

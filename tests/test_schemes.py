@@ -4,6 +4,7 @@ import operator
 import os
 import subprocess
 import sys
+import time
 import unittest
 from pathlib import Path
 
@@ -408,12 +409,16 @@ class JohnsonCodeTests(unittest.TestCase):
             johnson_construction(28, 14, 1, 0)
 
     def test_universe_cap_boundary(self):
-        # the universe is counted before it is built: 87,880 of the
-        # 88,050 words of B(v0, 3) lie outside B(x, 1)
-        with self.assertRaisesRegex(CapacityError, "universe"):
-            _johnson_cover(26, 13, 2, 1)
-        # B(v0, 4) has 60,626 words, over the cap, but only the 44,100
-        # outside B(x, 3) are elements, so the instance is built
+        # the instance is counted before it is built: 6084 sphere words by
+        # the 87,880 of the 88,050 words of B(v0, 3) outside B(x, 1), and
+        # 54,600 by 59,475 at J(25, 10)
+        for point in [(26, 13, 2, 1), (25, 10, 3, 0)]:
+            start = time.perf_counter()
+            with self.assertRaisesRegex(CapacityError, "BUILD_CAP"):
+                _johnson_cover(*point)
+            self.assertLess(time.perf_counter() - start, 1)
+        # B(v0, 4) has 60,626 words, but only the 44,100 outside B(x, 3)
+        # are elements, so the instance is built
         self.assertEqual(len(_johnson_cover(20, 10, 1, 3).handler), 44_100)
 
     def test_instance_masks_match_definition(self):

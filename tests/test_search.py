@@ -1,13 +1,14 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
 from ppric import bounds, search
 from ppric.codes import make_code, verify_enumeration, verify_exact
 from ppric.construct import available_recipes, build_eps8
-from ppric.cover import Budget
+from ppric.cover import Budget, check_build
 from ppric.errors import CapacityError, ParameterError
 from ppric.search import (
     SearchResult,
@@ -196,15 +197,28 @@ def test_node_budget():
 
 
 def test_pool_cap():
-    with pytest.raises(CapacityError):
-        exact_n_search(40, 12, 0)
+    # C(40,12) candidates are far past BUILD_CAP, but the catalog code
+    # meets the lower bound, so nothing is built and nothing refused
+    res = exact_n_search(40, 12, 0)
+    assert (res.n_exact, res.nodes_explored) == (3, 0)
+    # enumerating the minimum codes needs the instance: refused unbuilt
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="BUILD_CAP"):
+        minimal_codes_enumerate(40, 12, 0, 3)
+    assert time.perf_counter() - start < 1
 
 
 def test_universe_and_work_caps():
-    # universe C(17,5)+C(17,7)+C(17,9)+C(17,11) = 62,322 > UNIVERSE_CAP
-    with pytest.raises(CapacityError, match="universe"):
-        exact_n_search(17, 4, 3)
-    # 3003 candidates by 15,913 elements: within both caps, and settled
+    # 8568 candidates by C(18,7)+C(18,9)+C(18,11)+C(18,13) = 127,704
+    # elements, and the catalog's 13 is above the lower bound 9: refused
+    # before the pool is built
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="BUILD_CAP"):
+        exact_n_search(18, 5, 2)
+    assert time.perf_counter() - start < 1
+    # 2380 candidates by 62,322 elements, cost 181,453,784: admitted
+    check_build(2380, 62_322)
+    # 3003 candidates by 15,913 elements: admitted, and settled
     res = exact_n_search(15, 5, 0)
     assert res.n_exact == 3
     assert verify_exact(res.witness).is_ppric
