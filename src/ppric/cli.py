@@ -21,6 +21,7 @@ import sys
 from . import bounds
 from .codes import PpricCode, verify_enumeration, verify_exact
 from .construct import available_recipes, build_recipe
+from .cover import Budget
 from .covering import (
     exact_covering_number,
     load_design,
@@ -177,6 +178,7 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_sweep(args) -> int:
+    Budget(args.node_budget)  # a bad budget is refused before the header
     writer = csv.writer(sys.stdout)
     writer.writerow(
         ["L", "s", "r", "best_lower", "best_upper", "exact", "search",

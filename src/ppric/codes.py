@@ -22,7 +22,6 @@ another.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -36,6 +35,7 @@ from .words import (
     _binary_identity,
     _bit_planes,
     _lightest,
+    _subsets,
     binom,
     check_scan_work,
 )
@@ -420,9 +420,8 @@ def full_sphere_identity_holds(L: int, s: int, r: int) -> bool:
     check_scan_work(1 << L, binom(L, s), L)
     if r + s >= L:
         return False
-    centres = (sum(1 << i for i in supp)
-               for supp in itertools.combinations(range(L), s))
-    return not _binary_identity(_bit_planes(L), 0, centres, r, s)
+    return not _binary_identity(_bit_planes(L), 0,
+                                _subsets((1 << L) - 1, s), r, s)
 
 
 def mippr_min_weight(code: PpricCode) -> int | None:

@@ -20,7 +20,6 @@ output with verify_exact before returning it.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -34,7 +33,7 @@ from .covering import (
     verify_covering,
 )
 from .errors import ParameterError
-from .words import BinaryWord, SchemeParams, binom
+from .words import BinaryWord, SchemeParams, _subsets, binom
 
 
 class ConstructionError(AssertionError):
@@ -314,21 +313,17 @@ class Family:
 def _full_code(L: int, s: int, r: int) -> PpricCode:
     # the search's candidate pool, with no elements
     check_build(binom(L, s), 0)
-    words = tuple(
-        BinaryWord.from_support(L, [c + 1 for c in supp])
-        for supp in itertools.combinations(range(L), s)
-    )
+    words = tuple(BinaryWord(L, m) for m in _subsets((1 << L) - 1, s))
     # admissibility alone guarantees this one
     return PpricCode(SchemeParams(L, s, r), words)
 
 
 def _extremal_code(L: int, s: int, r: int) -> PpricCode:
-    half1 = (2 * s + r + 1) // 2
-    halves = (range(1, half1 + 1), range(half1 + 1, 2 * s + r + 2))
-    words = tuple(
-        BinaryWord.from_support(L, supp)
-        for half in halves for supp in itertools.combinations(half, s)
-    )
+    # coordinates 1..half1, then half1+1..2s+r+1
+    first = (1 << (2 * s + r + 1) // 2) - 1
+    halves = (first, ((1 << 2 * s + r + 1) - 1) ^ first)
+    words = tuple(BinaryWord(L, m) for half in halves
+                  for m in _subsets(half, s))
     return _verified(PpricCode(SchemeParams(L, s, r), words))
 
 

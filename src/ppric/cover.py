@@ -88,6 +88,8 @@ class Budget:
     __slots__ = ("nodes", "limit")
 
     def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
+        if limit < 0:
+            raise ParameterError(f"node budget must be nonnegative, got {limit}")
         self.nodes = 0
         self.limit = limit
 

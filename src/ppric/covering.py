@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .cover import Budget, Cover
 from .errors import CapacityError, FormatError, ParameterError, read_text
-from .words import ceil_div
+from .words import _points, _subsets, ceil_div
 
 EXACT_N_CAP = 10
 VERIFY_CAP = 1 << 24
@@ -59,9 +59,7 @@ def verify_covering(design: CoveringDesign) -> bool:
         raise CapacityError("covering verification capped at C(n,t) <= 2**24")
     covered = set()
     for block in design.blocks:
-        pts = sorted(block)
-        for sub in itertools.combinations(pts, t):
-            covered.add(sub)
+        covered.update(_subsets(sum(1 << p for p in block), t))
     return len(covered) == math.comb(n, t)
 
 
@@ -90,15 +88,12 @@ def schoenheim_bound(n: int, k: int, t: int) -> int:
 
 def _covering_cover(n: int, k: int, t: int) -> Cover:
     """The k-subsets of {1..n} against its t-subsets, in combinations order:
-    T lies inside B iff T meets the complement of B in fewer than 1 point.
+    T lies inside B iff T meets the complement of B in fewer than 1 point,
+    so candidate i is the complement of block i (bit p is point p).
     Every permutation of the points maps the instance onto itself."""
-    points = range(1, n + 1)
-    full = sum(1 << p for p in points)
-    return Cover([full ^ sum(1 << p for p in B)
-                  for B in itertools.combinations(points, k)],
-                 [([sum(1 << p for p in T)
-                    for T in itertools.combinations(points, t)], 1)],
-                 [full])
+    full = (1 << n + 1) - 2
+    return Cover([full ^ B for B in _subsets(full, k)],
+                 [(list(_subsets(full, t)), 1)], [full])
 
 
 def exact_covering_number(
@@ -117,18 +112,19 @@ def exact_covering_number(
     small-n instances still have deep cover numbers and blow up well
     before the size caps bite.
     """
+    budget = Budget(node_budget)
     if not n >= k >= t > 0:
         raise ParameterError(f"need n >= k >= t > 0, got ({n},{k},{t})")
     if n > EXACT_N_CAP:
         raise CapacityError(f"exact covering search capped at n <= {EXACT_N_CAP}")
 
-    blocks = list(itertools.combinations(range(1, n + 1), k))
+    cover = _covering_cover(n, k, t)
     lower = schoenheim_bound(n, k, t) if n > k > t else 1
-    got = _covering_cover(n, k, t).solve(lower, len(blocks),
-                                         Budget(node_budget))
+    got = cover.solve(lower, len(cover.sets), budget)
     if not return_witness:
         return len(got)
-    return len(got), tuple(frozenset(blocks[i]) for i in got)
+    full = (1 << n + 1) - 2
+    return len(got), tuple(_points(full ^ cover.sets[i]) for i in got)
 
 
 # ---------------------------------------------------------------------------

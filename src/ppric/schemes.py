@@ -12,7 +12,6 @@ the scan's mask of disagreeing lanes is decoded here.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -31,10 +30,10 @@ from .words import (
     _johnson_plane,
     _qary_plane,
     _scan_identity,
+    _swaps,
     binom,
     check_scan_work,
     diameter,
-    enumerate_ball,
     enumerate_sphere,
     johnson_distance,
     johnson_sphere_size,
@@ -278,17 +277,14 @@ def _johnson_cover(n: int, L: int, s: int, r: int) -> Cover:
     # words at distance r+1..r+s from v0
     count = sum(johnson_sphere_size(n, L, d) for d in range(r + 1, r + s + 1))
     check_build(johnson_sphere_size(n, L, s), count)
-    x = JohnsonWord(n, frozenset(range(1, L + 1)))
-    sphere = list(enumerate_sphere(x, s))
-    universe = [y.elements for y in enumerate_ball(sphere[0], r + s)
-                if len(x.elements - y.elements) > r]
-    inside = sum(1 << p for p in x.elements)
+    # bit p is point p; x = {1..L}
+    full, x = (1 << n + 1) - 2, (1 << L + 1) - 2
+    sphere = list(_swaps(x, full ^ x, s))
+    v0 = sphere[0]
+    universe = [y for d in range(r + s + 1) for y in _swaps(v0, full ^ v0, d)
+                if (x & ~y).bit_count() > r]
     # |v - y| > r+s iff |v n y| < L-r-s, as both have L elements
-    return Cover(
-        [sum(1 << p for p in v.elements) for v in sphere],
-        [([sum(1 << p for p in y) for y in universe], L - r - s)],
-        [inside, ((1 << n + 1) - 2) ^ inside],
-    )
+    return Cover(sphere, [(universe, L - r - s)], [x, full ^ x])
 
 
 def johnson_exact_check(n: int, L: int, s: int, r: int) -> bool:
@@ -382,34 +378,20 @@ def verify_johnson_covering(code: JohnsonCoveringCode) -> CoveringCodeVerdict:
     open by the defining text, so both counts are reported.
     """
     n, L, k, t = code.n, code.L, code.k, code.t
-    head = list(range(1, L + 1))
-    tail = list(range(L + 1, n + 1))
     pairs = binom(L, t) * binom(n - L, t) * code.size
     if pairs > COVERING_PAIR_CAP:
         raise CapacityError(
             f"{pairs} target-codeword pairs exceed COVERING_PAIR_CAP = 2**26")
-    full_head = frozenset(head)
-    want = k - t
-    at_least = True
+    # bit p is point p; the head is 1..L
+    head = (1 << L + 1) - 2
+    words = [sum(1 << p for p in c.elements) for c in code.codewords]
     exactly = True
-    for drop in itertools.combinations(head, t):
-        base = full_head - set(drop)
-        for add in itertools.combinations(tail, t):
-            target = base | set(add)
-            count = 0
-            for c in code.codewords:
-                if len(c.elements - target) == want:
-                    count += 1
-                    if count > 1:
-                        break
-            if count == 0:
-                at_least = False
-                exactly = False
-            elif count > 1:
-                exactly = False
-            if not at_least and not exactly:
-                return CoveringCodeVerdict(False, False)
-    return CoveringCodeVerdict(at_least, exactly)
+    for target in _swaps(head, ((1 << n + 1) - 2) ^ head, t):
+        count = sum((c & ~target).bit_count() == k - t for c in words)
+        if count == 0:
+            return CoveringCodeVerdict(False, False)
+        exactly &= count == 1
+    return CoveringCodeVerdict(True, exactly)
 
 
 def product_covering_code(first: CoveringDesign,

@@ -19,7 +19,6 @@ Every witness is re-checked with verify_exact before being returned.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import bounds
@@ -28,7 +27,8 @@ from .construct import available_recipes, build_recipe
 from .cover import DEFAULT_NODE_BUDGET, Budget, Cover, check_build
 from .errors import CapacityError, ParameterError
 from .jsondoc import JsonDoc
-from .words import BinaryWord, SchemeParams, _at_most, _bit_planes, binom
+from .words import (BinaryWord, SchemeParams, _at_most, _bit_planes,
+                    _subsets, binom)
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,12 @@ class _Space(Cover):
         self.params = SchemeParams(L, s, r)
         widths = [(g, min(r + 2 * g, L)) for g in _gamma_range(L, s, r)]
         check_build(binom(L, s), sum(binom(L, w) for _, w in widths))
-        self.pool = [
-            sum(1 << c for c in supp)
-            for supp in itertools.combinations(range(L), s)
-        ]
+        full = (1 << L) - 1
+        self.pool = list(_subsets(full, s))
         # one segment per gamma: the width-w coordinate sets P, bound gamma;
         # every coordinate permutation maps the instance onto itself
-        super().__init__(self.pool, [
-            ([sum(1 << c for c in P)
-              for P in itertools.combinations(range(L), w)], g)
-            for g, w in widths
-        ], [(1 << L) - 1])
+        super().__init__(self.pool, [(list(_subsets(full, w)), g)
+                                     for g, w in widths], [full])
 
     def make_code(self, indices) -> PpricCode:
         """The code on the given pool indices, re-checked with verify_exact."""
@@ -112,6 +107,7 @@ def exact_n_search(L: int, s: int, r: int, size_cap: int | None = None,
     node budget counts tree nodes only, so ``nodes_explored`` is 0 when
     the bracket closes without a tree.
     """
+    budget = Budget(node_budget)
     params = SchemeParams(L, s, r)
     if s == 0:
         return SearchResult(params, 1,
@@ -125,7 +121,6 @@ def exact_n_search(L: int, s: int, r: int, size_cap: int | None = None,
                             _pinned(build_recipe(catalog, L, s, r)), 0)
     space = _Space(L, s, r)
     top = len(space.pool) if size_cap is None else min(size_cap, len(space.pool))
-    budget = Budget(node_budget)
     hit = space.solve(lower, top, budget)
     if hit is None:
         raise CapacityError(f"no code within size cap {top}")
@@ -141,6 +136,7 @@ def minimal_codes_enumerate(L: int, s: int, r: int, m: int,
     no search spent; above the true minimum a ParameterError is raised as
     soon as a smaller cover shows up mid-branch.
     """
+    budget = Budget(node_budget)
     params = SchemeParams(L, s, r)
     if m < 1:
         raise ParameterError("m must be positive")
@@ -150,7 +146,7 @@ def minimal_codes_enumerate(L: int, s: int, r: int, m: int,
     if m < bounds.best_lower(L, s, r):
         return []
     space = _Space(L, s, r)
-    found = space.collect(m, Budget(node_budget))
+    found = space.collect(m, budget)
     return [space.make_code(ix) for ix in found]
 
 

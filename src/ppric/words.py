@@ -10,6 +10,12 @@ are L-subsets of {1..n} with d(x, y) = |x \\ y| (half the Hamming distance
 of the characteristic vectors); we keep the canonical-position convention
 2L <= n so that a word and its complement never collide.
 
+Every subset the package lists as a mask comes from one enumerator,
+``_subsets`` (``itertools.combinations`` order of a mask's bits): the
+binary and Johnson spheres (c ^ m and x ^ drop ^ add), balls, weight
+classes and the cover instances of ``search``, ``covering`` and
+``schemes``.  A q-ary sphere lists symbol tuples instead.
+
 This module is also the one whole-space scan engine.  A space is a big
 int with one bit lane per word, in enumeration order: F_2^L with lane
 index = mask, [q]^L in product order, J(n, L) in combination order.  A
@@ -261,20 +267,42 @@ def check_scan_work(lanes: int, sphere: int, L: int) -> None:
         raise CapacityError("identity scan work exceeds SCAN_WORK_CAP = 2**32")
 
 
+def _subsets(points: int, k: int) -> Iterator[int]:
+    """Masks of the k-subsets of the set bits of ``points``, in
+    ``itertools.combinations`` order of those bits, lowest bit first:
+    binom(popcount, k) of them for every k, so none when k < 0."""
+    if k < 0:
+        return iter(())
+    bits = [1 << i for i in range(points.bit_length()) if points >> i & 1]
+    return map(sum, itertools.combinations(bits, k))
+
+
+def _swaps(x: int, outside: int, d: int) -> Iterator[int]:
+    """x ^ drop ^ add over the d-subsets drop of x and add of ``outside``,
+    drop-major: the Johnson sphere of radius d around x."""
+    adds = list(_subsets(outside, d))
+    return (x ^ drop ^ add for drop in _subsets(x, d) for add in adds)
+
+
+def _points(mask: int) -> frozenset[int]:
+    """The set bits of a mask, as indices."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def enumerate_sphere(center, radius: int) -> Iterator:
-    """All words at distance exactly ``radius`` from the center."""
+    """All words at distance exactly ``radius`` from the center (none when
+    the radius is negative)."""
     if isinstance(center, BinaryWord):
         L = center.length
         check_scan(1 << L)
-        for flips in itertools.combinations(range(L), radius):
-            m = center.mask
-            for i in flips:
-                m ^= 1 << i
-            yield BinaryWord(L, m)
+        for m in _subsets((1 << L) - 1, radius):
+            yield BinaryWord(L, center.mask ^ m)
         return
     if isinstance(center, QaryWord):
         L, q = center.length, center.q
         check_scan(q ** L)
+        if radius < 0:
+            return
         for pos in itertools.combinations(range(L), radius):
             for alts in itertools.product(range(q - 1), repeat=radius):
                 sym = list(center.symbols)
@@ -284,13 +312,12 @@ def enumerate_sphere(center, radius: int) -> Iterator:
                 yield QaryWord(q, tuple(sym))
         return
     if isinstance(center, JohnsonWord):
-        n, elems = center.n, center.elements
-        check_scan(binom(n, len(elems)))
-        outside = sorted(set(range(1, n + 1)) - elems)
-        inside = sorted(elems)
-        for drop in itertools.combinations(inside, radius):
-            for add in itertools.combinations(outside, radius):
-                yield JohnsonWord(n, (elems - set(drop)) | set(add))
+        n = center.n
+        check_scan(binom(n, center.length))
+        # bit p is point p
+        x = sum(1 << p for p in center.elements)
+        for m in _swaps(x, ((1 << n + 1) - 2) ^ x, radius):
+            yield JohnsonWord(n, _points(m))
         return
     raise ParameterError("unsupported word type")
 

@@ -235,6 +235,18 @@ def test_search_capacity_exit(capsys):
     assert err.startswith("error: capacity:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--L", "9", "--s", "3", "--r", "1"],
+    ["search", "--L", "11", "--s", "3", "--r", "1"],
+    ["sweep", "--L", "9..11", "--s", "3", "--r", "1"],
+])
+def test_negative_node_budget_is_a_parameter_error(capsys, argv):
+    # refused before any output: no answer, no CSV header
+    rc, out, err = run(capsys, *argv, "--node-budget", "-5")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: parameter:") and err.count("\n") == 1
+
+
 def test_sweep_csv(capsys):
     rc, out, err = run(capsys, "sweep", "--L", "5..8", "--s", "2", "--r", "0")
     assert rc == 0 and err == ""

@@ -111,6 +111,13 @@ def test_greedy_at_the_lower_bound_spends_no_node(name):
     assert budget.nodes == 0
 
 
+def test_budget_limit_is_nonnegative():
+    assert Budget(0).limit == 0
+    for limit in (-1, -5):
+        with pytest.raises(ParameterError, match="node budget"):
+            Budget(limit)
+
+
 def _admitted(candidates, elements):
     try:
         check_build(candidates, elements)

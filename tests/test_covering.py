@@ -86,6 +86,10 @@ def test_exact_covering_numbers():
     assert verify_covering(CoveringDesign(6, 3, 2, witness))
     with pytest.raises(CapacityError):
         exact_covering_number(11, 3, 2)
+    # the greedy cover meets the Schonheim bound of 4 here, so only a
+    # budget checked first refuses -1
+    with pytest.raises(ParameterError, match="node budget"):
+        exact_covering_number(5, 3, 2, node_budget=-1)
 
 
 @pytest.mark.parametrize("n,k,t", [(6, 3, 2), (7, 4, 3), (5, 3, 3)])

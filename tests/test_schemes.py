@@ -34,7 +34,6 @@ from ppric.words import (
     SchemeParams,
     _johnson_plane,
     _qary_plane,
-    enumerate_ball,
     enumerate_sphere,
     enumerate_weight_class,
     johnson_distance,
@@ -424,14 +423,19 @@ class JohnsonCodeTests(unittest.TestCase):
     def test_instance_masks_match_definition(self):
         # sphere word v covers y (in B(v0, r+s), outside B(x, r)) iff
         # |v - y| > r+s
+        # the oracle lists both sides with itertools and frozensets, apart
+        # from the enumerators the instance is built with
+        def swaps(word, d):  # distance d from word, drop-major
+            outside = sorted(set(range(1, n + 1)) - word)
+            return [(word - set(drop)) | set(add)
+                    for drop in itertools.combinations(sorted(word), d)
+                    for add in itertools.combinations(outside, d)]
         for n, L, s, r in [(8, 4, 1, 0), (10, 5, 1, 1), (12, 5, 1, 1)]:
             inst = _johnson_cover(n, L, s, r)
-            x = JohnsonWord(n, frozenset(range(1, L + 1)))
-            sphere = [v.elements for v in enumerate_sphere(x, s)]
-            universe = [y.elements
-                        for y in enumerate_ball(JohnsonWord(n, sphere[0]),
-                                                r + s)
-                        if len(x.elements - y.elements) > r]
+            x = frozenset(range(1, L + 1))
+            sphere = swaps(x, s)
+            universe = [y for d in range(r + s + 1) for y in swaps(sphere[0], d)
+                        if len(x - y) > r]
             self.assertEqual(len(inst.cover), len(sphere))
             self.assertEqual(len(inst.handler), len(universe))
             self.assertEqual(max(inst.cover) >> len(universe), 0)

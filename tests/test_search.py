@@ -196,6 +196,17 @@ def test_node_budget():
         exact_n_search(9, 3, 1, node_budget=100)
 
 
+def test_negative_node_budget_is_refused_first():
+    # (9,3,1) runs a tree, (11,3,1) and (5,0,2) close without one: the
+    # budget is checked before either
+    for point in [(9, 3, 1), (11, 3, 1), (5, 0, 2)]:
+        with pytest.raises(ParameterError, match="node budget"):
+            exact_n_search(*point, node_budget=-5)
+    with pytest.raises(ParameterError, match="node budget"):
+        minimal_codes_enumerate(9, 3, 1, 7, node_budget=-1)
+    assert exact_n_search(11, 3, 1, node_budget=0).nodes_explored == 0
+
+
 def test_pool_cap():
     # C(40,12) candidates are far past BUILD_CAP, but the catalog code
     # meets the lower bound, so nothing is built and nothing refused

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,6 +14,7 @@ from ppric.words import (
     _binary_identity,
     _bit_planes,
     _lightest,
+    _subsets,
     ball_size,
     binom,
     diameter,
@@ -126,6 +128,53 @@ def test_qary_sphere_enumeration():
     x = QaryWord(3, (0, 0, 0, 0))
     got = sum(1 for _ in enumerate_sphere(x, 2))
     assert got == math.comb(4, 2) * 4  # choose positions, then nonzero symbols
+
+
+@given(st.integers(0, (1 << 12) - 1), st.data())
+def test_subsets_follow_combinations_order(points, data):
+    # the masks of itertools.combinations over the set bits, lowest first;
+    # binom(popcount, k) of them, so none for k < 0 or k > popcount
+    bits = [i for i in range(12) if points >> i & 1]
+    k = data.draw(st.integers(-1, len(bits) + 1))
+    want = ([sum(1 << i for i in sub) for sub in itertools.combinations(bits, k)]
+            if k >= 0 else [])
+    got = list(_subsets(points, k))
+    assert got == want
+    assert len(got) == binom(len(bits), k)
+
+
+def test_sphere_order_matches_combinations():
+    # the candidate order behind every witness: flips in combinations order
+    # for a binary sphere, drop-major swaps for a Johnson sphere
+    for L, center, radius in [(6, 0b101001, 2), (7, 0, 3), (5, 0b11111, 5)]:
+        want = []
+        for flips in itertools.combinations(range(L), radius):
+            want.append(center ^ sum(1 << i for i in flips))
+        got = [z.mask for z in enumerate_sphere(BinaryWord(L, center), radius)]
+        assert got == want
+    for n, elems, radius in [(9, {2, 4, 5, 8}, 2), (8, {1, 2, 3, 4}, 1),
+                             (10, {3, 6, 7, 9, 10}, 3)]:
+        inside = sorted(elems)
+        outside = sorted(set(range(1, n + 1)) - elems)
+        want = [(elems - set(drop)) | set(add)
+                for drop in itertools.combinations(inside, radius)
+                for add in itertools.combinations(outside, radius)]
+        got = [z.elements
+               for z in enumerate_sphere(JohnsonWord(n, frozenset(elems)),
+                                         radius)]
+        assert got == want
+
+
+@pytest.mark.parametrize("center", [
+    BinaryWord(5, 0b10110),
+    QaryWord(3, (0, 2, 1)),
+    JohnsonWord(8, frozenset({1, 4, 6})),
+])
+def test_negative_radius_sphere_is_empty(center):
+    # as for enumerate_ball, sphere_size and johnson_sphere_size
+    assert list(enumerate_sphere(center, -1)) == []
+    assert list(enumerate_sphere(center, -3)) == []
+    assert list(enumerate_ball(center, -1)) == []
 
 
 def test_bit_lanes_index_words_by_mask():
