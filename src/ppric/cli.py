@@ -15,7 +15,6 @@ valid ``--code`` file for ``verify`` and ``simulate``, and ``johnson
 import argparse
 import csv
 import functools
-import json
 import sys
 
 from . import bounds
@@ -29,7 +28,7 @@ from .covering import (
     verify_covering,
 )
 from .errors import CapacityError, FormatError, ParameterError, read_text
-from .jsondoc import dumps
+from .jsondoc import dumps, loads
 from .protocol import load_database, run_simulation
 from .schemes import (
     JohnsonPpricCode,
@@ -56,20 +55,9 @@ def _emit(doc, pretty: bool) -> None:
     print(dumps(doc, pretty))
 
 
-def _load_json(path: str) -> dict:
-    text = read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path} is not JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: expected a JSON object")
-    return doc
-
-
 def _load_code(path: str):
     """Binary and Johnson code files are told apart by their keys."""
-    doc = _load_json(path)
+    doc = loads(read_text(path))
     if "x" in doc:
         return JohnsonPpricCode.from_json_dict(doc)
     return PpricCode.from_json_dict(doc)
@@ -196,9 +184,7 @@ def cmd_sweep(args) -> int:
                 if not args.no_search:
                     try:
                         sv = exact_n_search(
-                            L, s, r,
-                            size_cap=up,
-                            node_budget=args.node_budget,
+                            L, s, r, node_budget=args.node_budget
                         ).n_exact
                     except CapacityError as exc:
                         notes.append(f"search capacity: {exc}")

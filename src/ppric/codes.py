@@ -22,12 +22,11 @@ another.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .cover import Budget
 from .errors import CapacityError, FormatError, ParameterError
-from .jsondoc import JsonDoc
+from .jsondoc import JsonDoc, integer
 from .words import (
     BinaryWord,
     SchemeParams,
@@ -80,19 +79,11 @@ class PpricCode(JsonDoc):
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PpricCode":
         try:
-            L, s, r = int(doc["L"]), int(doc["s"]), int(doc["r"])
+            L, s, r = (integer(doc[key], key) for key in "Lsr")
             words = tuple(BinaryWord.from_string(t) for t in doc["codewords"])
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad code document: {exc}") from exc
         return cls(SchemeParams(L, s, r), words)
-
-    @classmethod
-    def loads(cls, text: str) -> "PpricCode":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad JSON: {exc}") from exc
-        return cls.from_json_dict(doc)
 
 
 def make_code(L: int, s: int, r: int, supports) -> PpricCode:

@@ -55,10 +55,12 @@ class CoveringDesign:
 def verify_covering(design: CoveringDesign) -> bool:
     """True iff every t-subset of {1..n} is inside some block."""
     n, k, t = design.n, design.k, design.t
-    if math.comb(n, t) > VERIFY_CAP:
-        raise CapacityError("covering verification capped at C(n,t) <= 2**24")
+    blocks = set(design.blocks)
+    if max(math.comb(n, t), len(blocks) * math.comb(k, t)) > VERIFY_CAP:
+        raise CapacityError("covering verification capped at C(n,t) and "
+                            "distinct blocks x C(k,t) <= 2**24")
     covered = set()
-    for block in design.blocks:
+    for block in blocks:
         covered.update(_subsets(sum(1 << p for p in block), t))
     return len(covered) == math.comb(n, t)
 

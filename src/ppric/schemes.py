@@ -12,7 +12,6 @@ the scan's mask of disagreeing lanes is decoded here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .codes import PpricCode, Verdict
@@ -20,7 +19,7 @@ from .construct import ConstructionError
 from .cover import Budget, Cover, check_build
 from .covering import CoveringDesign, verify_covering
 from .errors import CapacityError, FormatError, ParameterError
-from .jsondoc import JsonDoc
+from .jsondoc import JsonDoc, integer
 from .words import (
     BinaryWord,
     JohnsonWord,
@@ -158,10 +157,14 @@ class JohnsonPpricCode(JsonDoc):
     def __post_init__(self):
         if self.n < 2 * self.L:
             raise ParameterError("Johnson scheme needs n >= 2L")
+        if self.s < 0 or self.r < 0:
+            raise ParameterError("s and r must be nonnegative")
         if self.x.n != self.n or self.x.length != self.L:
             raise ParameterError("center does not live in J(n, L)")
         if not self.codewords:
             raise ParameterError("a code needs at least one codeword")
+        if len(set(self.codewords)) < len(self.codewords):
+            raise ParameterError("duplicate codeword")
         for v in self.codewords:
             if v.n != self.n or v.length != self.L:
                 raise ParameterError("codeword does not live in J(n, L)")
@@ -188,24 +191,17 @@ class JohnsonPpricCode(JsonDoc):
     @classmethod
     def from_json_dict(cls, data: dict) -> "JohnsonPpricCode":
         try:
-            n, L, s, r = data["n"], data["L"], data["s"], data["r"]
-            x = JohnsonWord(n, frozenset(data["x"]))
-            words = tuple(
-                JohnsonWord(n, frozenset(v)) for v in data["codewords"]
+            n, L, s, r = (integer(data[key], key) for key in "nLsr")
+            x, *words = (  # the center, then the codewords
+                JohnsonWord(n, frozenset(
+                    integer(e, "an element of x or of a codeword") for e in v))
+                for v in (data["x"], *data["codewords"])
             )
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad Johnson code object: {exc}") from exc
         if L != x.length:
             raise FormatError("declared L disagrees with the center")
-        return cls(n, L, s, r, x, words)
-
-    @classmethod
-    def loads(cls, text: str) -> "JohnsonPpricCode":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"not JSON: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls(n, L, s, r, x, tuple(words))
 
 
 def johnson_verify(code: JohnsonPpricCode) -> Verdict:

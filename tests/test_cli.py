@@ -11,9 +11,11 @@ import pytest
 import ppric
 from ppric import codes
 from ppric.cli import build_parser, main
-from ppric.codes import make_code
+from ppric.codes import PpricCode, make_code
 from ppric.construct import build_disjoint
 from ppric.covering import fano_plane, serialize_design
+from ppric.errors import FormatError
+from ppric.schemes import JohnsonPpricCode
 
 
 def run(capsys, *argv):
@@ -102,6 +104,59 @@ def test_verify_unreadable_file(capsys, tmp_path):
         rc, out, err = run(capsys, "verify", "--code", str(path))
         assert rc == 2 and out == ""
         assert err.startswith("error: format:") and err.count("\n") == 1
+
+
+# a binary and a Johnson code file that verify, then documents built from
+# them that must be refused: a field that is not a JSON integer ...
+BINARY = {"L": 6, "s": 2, "r": 0, "codewords": ["110000", "001100", "000011"]}
+JOHNSON = {"n": 10, "L": 5, "s": 1, "r": 1, "x": [1, 2, 3, 4, 5],
+           "codewords": [[2, 3, 4, 5, 6], [1, 3, 4, 5, 7], [1, 2, 4, 5, 8],
+                         [1, 2, 3, 5, 9], [1, 2, 3, 4, 10]]}
+MISTYPED = {
+    "L-float": {**BINARY, "L": 6.9},
+    "L-string": {**BINARY, "L": "6"},
+    "L-bool": {"L": True, "s": 0, "r": 0, "codewords": ["0"]},
+    "johnson-r-string": {**JOHNSON, "r": "1"},
+    "johnson-r-float": {**JOHNSON, "r": 1.5},
+    "johnson-s-float": {**JOHNSON, "s": 1.0},
+    "johnson-x-float": {**JOHNSON, "x": [1, 2, 3, 4, 5.0]},
+    "johnson-codeword-float": {
+        **JOHNSON, "codewords": [[2, 3, 4, 5, 6.0], *JOHNSON["codewords"][1:]]
+    },
+}
+# ... or a Johnson code that breaks a precondition a binary code keeps
+MALFORMED = {
+    **MISTYPED,
+    "johnson-r-negative": {**JOHNSON, "r": -1},
+    "johnson-repeated-codeword": {
+        **JOHNSON, "codewords": JOHNSON["codewords"] + JOHNSON["codewords"][:1]
+    },
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_code_document_is_one_stderr_line(capsys, tmp_path, doc):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    db = tmp_path / "db.txt"
+    db.write_text("{1,2,3,4,5}\n{1,2,3,4,6}\n")
+    runs = [["verify", "--code", str(path)]]
+    if "x" in doc:
+        runs += [["johnson", "--verify", str(path)],
+                 ["simulate", "--db", str(db), "--code", str(path),
+                  "--x", "{1,2,3,4,5}"]]
+    for argv in runs:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith(("error: format:", "error: parameter:"))
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", MISTYPED.values(), ids=MISTYPED)
+def test_loads_refuses_a_field_that_is_not_a_json_integer(doc):
+    cls = JohnsonPpricCode if "x" in doc else PpricCode
+    with pytest.raises(FormatError, match="is not a JSON integer"):
+        cls.loads(json.dumps(doc))
 
 
 @pytest.mark.parametrize("template", [

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ppric import covering
 from ppric.cover import Budget
 from ppric.covering import (
     CoveringDesign,
@@ -90,6 +91,33 @@ def test_exact_covering_numbers():
     # budget checked first refuses -1
     with pytest.raises(ParameterError, match="node budget"):
         exact_covering_number(5, 3, 2, node_budget=-1)
+
+
+def test_verify_covering_refuses_before_listing(monkeypatch):
+    def refuse(mask, t):
+        raise AssertionError("listed a block past the cap")
+
+    monkeypatch.setattr(covering, "_subsets", refuse)
+    # 100 distinct blocks x C(20, 10) = 18.5M subsets, though C(24, 10) is
+    # under the cap
+    blocks = itertools.islice(itertools.combinations(range(1, 25), 20), 100)
+    design = CoveringDesign(24, 20, 10, tuple(map(frozenset, blocks)))
+    with pytest.raises(CapacityError):
+        verify_covering(design)
+
+
+def test_verify_covering_lists_a_repeated_block_once(monkeypatch):
+    listed = []
+
+    def once(mask, t):
+        assert not listed, "listed a repeated block twice"
+        listed.append(mask)
+        return subsets(mask, t)
+
+    subsets = covering._subsets
+    monkeypatch.setattr(covering, "_subsets", once)
+    design = CoveringDesign(24, 20, 10, (frozenset(range(1, 21)),) * 1000)
+    assert verify_covering(design) is False
 
 
 @pytest.mark.parametrize("n,k,t", [(6, 3, 2), (7, 4, 3), (5, 3, 3)])

@@ -177,14 +177,15 @@ class BitSlicedScanTests(unittest.TestCase):
                 centers = {frozenset(range(1, L + 1)),
                            frozenset(range(2, 2 * L + 1, 2)),
                            frozenset(range(n - L + 1, n + 1))}
-                for s, r in itertools.product(range(3), range(-1, 3)):
+                # r = -1 is refused by JohnsonPpricCode, as by SchemeParams
+                for s, r in itertools.product(range(3), range(3)):
                     for c in centers:
                         x = JohnsonWord(n, c)
                         sphere = list(enumerate_sphere(x, s))
                         if not sphere:
                             continue
                         families = [sphere[:2 * r + 3], sphere[-2 * r - 3:]]
-                        if s and r >= 0 and L >= s * (2 * r + 3):
+                        if s and L >= s * (2 * r + 3):
                             families.append(list(johnson_construction(
                                 n, L, s, r, x).codewords))
                         for family in families:
@@ -374,6 +375,11 @@ class JohnsonCodeTests(unittest.TestCase):
         with self.assertRaises(ParameterError):
             JohnsonPpricCode(7, 4, 1, 0, JohnsonWord(7, frozenset({1, 2, 3, 4})),
                              (JohnsonWord(7, frozenset({1, 2, 3, 5})),))
+        near = JohnsonWord(8, frozenset({1, 2, 3, 5}))
+        with self.assertRaises(ParameterError):
+            JohnsonPpricCode(8, 4, 1, -1, x, (near,))  # r < 0
+        with self.assertRaises(ParameterError):
+            JohnsonPpricCode(8, 4, 1, 0, x, (near, near))  # repeated codeword
 
     def test_exact_check_matches_brute_force(self):
         for n, L, s, r in [(8, 4, 1, 0), (10, 5, 1, 1), (12, 5, 1, 1)]:
