@@ -22,6 +22,7 @@ another.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .cover import Budget
@@ -65,6 +66,12 @@ class PpricCode(JsonDoc):
 
     def masks(self) -> list[int]:
         return [w.mask for w in self.codewords]
+
+    @functools.cached_property
+    def is_ppric(self) -> bool:
+        """``verify_exact``'s answer, reached once per code object; a
+        CapacityError is not kept, so the next read raises it again."""
+        return verify_exact(self).is_ppric
 
     # -- JSON interchange ---------------------------------------------------
 

@@ -12,6 +12,7 @@ the scan's mask of disagreeing lanes is decoded here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .codes import PpricCode, Verdict
@@ -177,6 +178,12 @@ class JohnsonPpricCode(JsonDoc):
     @property
     def size(self) -> int:
         return len(self.codewords)
+
+    @functools.cached_property
+    def is_ppric(self) -> bool:
+        """``johnson_verify``'s answer, reached once per code object, as
+        ``PpricCode.is_ppric`` is."""
+        return johnson_verify(self).is_ppric
 
     def to_json_dict(self) -> dict:
         return {

@@ -71,7 +71,7 @@ class SchemeParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryWord:
     """A length-L binary word held as an int bitset."""
 
@@ -116,7 +116,7 @@ class BinaryWord:
         return self.to_string()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QaryWord:
     q: int
     symbols: tuple[int, ...]
@@ -147,7 +147,7 @@ class QaryWord:
         return sum(1 for x in self.symbols if x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JohnsonWord:
     """An L-subset of {1..n}; requires the canonical range 2L <= n."""
 

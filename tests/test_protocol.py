@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppric.codes import make_code, verify_exact
+from ppric import codes, schemes
+from ppric.codes import PpricCode, make_code, verify_exact
 from ppric.construct import build_disjoint
-from ppric.errors import FormatError, ParameterError
+from ppric.errors import CapacityError, FormatError, ParameterError
 from ppric.protocol import (
     Database,
     Query,
@@ -319,6 +321,99 @@ def test_unverified_code_rejected():
     assert tr.queries  # ran anyway once the caller opted in
 
 
+# -- each code object is verified once --------------------------------
+
+@pytest.fixture
+def verifier_calls(monkeypatch):
+    """Calls to each verifier from here on, counted by name."""
+    calls = {"verify_exact": 0, "johnson_verify": 0}
+    for module, name in ((codes, "verify_exact"), (schemes, "johnson_verify")):
+        def counted(code, *args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(code, *args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def disjoint_code():
+    """A new object each call: three disjoint pairs, a PPRIC (6,2,0) code."""
+    return make_code(6, 2, 0, [{1, 2}, {3, 4}, {5, 6}])
+
+
+def test_a_code_object_is_verified_once(verifier_calls):
+    code = disjoint_code()
+    db = random_binary_db(6, 8, seed=1)
+    x = BinaryWord(6, 0b100101)
+    transcripts = [run_simulation(db, x, 0, code, seed=sd) for sd in (1, 2, 3)]
+    assert verifier_calls["verify_exact"] == 1
+    # generate_queries shares the one verification
+    assert generate_queries(x, code, seed=2) == list(transcripts[1].queries)
+    assert verifier_calls["verify_exact"] == 1
+    assert verifier_calls["johnson_verify"] == 0
+
+
+def test_a_johnson_code_object_is_verified_once(verifier_calls):
+    code = johnson_construction(10, 5, 1, 0)
+    assert verifier_calls["johnson_verify"] == 1  # the construction's check
+    x = JohnsonWord(10, frozenset(range(1, 6)))
+    db = Database((x, JohnsonWord(10, frozenset(range(2, 7)))))
+    for sd in (1, 2, 3):
+        assert run_simulation(db, x, 0, code, seed=sd).reconstructed == {1}
+    generate_queries(x, code, seed=4)
+    assert verifier_calls["johnson_verify"] == 2
+    assert verifier_calls["verify_exact"] == 0
+
+
+def test_a_failing_code_is_refused_on_every_call(verifier_calls):
+    bad = make_code(5, 2, 0, [{1, 2}, {1, 3}, {1, 4}, {1, 5}])
+    db = random_binary_db(5, 6, seed=9)
+    x = BinaryWord(5, 0)
+    for sd in (1, 2, 3):
+        with pytest.raises(ParameterError):
+            run_simulation(db, x, 0, bad, seed=sd)
+        with pytest.raises(ParameterError):
+            generate_queries(x, bad, seed=sd)
+    assert verifier_calls["verify_exact"] == 1
+
+
+def test_opting_out_never_verifies(verifier_calls):
+    bad = make_code(5, 2, 0, [{1, 2}, {1, 3}, {1, 4}, {1, 5}])
+    db = random_binary_db(5, 6, seed=9)
+    x = BinaryWord(5, 0)
+    for sd in (1, 2):
+        run_simulation(db, x, 0, bad, seed=sd, allow_unverified=True)
+        generate_queries(x, bad, seed=sd, allow_unverified=True)
+    assert verifier_calls == {"verify_exact": 0, "johnson_verify": 0}
+
+
+def test_an_equal_new_code_object_is_verified_again(verifier_calls):
+    code = disjoint_code()
+    db = random_binary_db(6, 8, seed=1)
+    x = BinaryWord(6, 0)
+    run_simulation(db, x, 0, code, seed=1)
+    twin = PpricCode.loads(code.dumps())
+    assert twin == code and twin is not code
+    run_simulation(db, x, 0, twin, seed=1)
+    run_simulation(db, x, 0, twin, seed=2)
+    assert verifier_calls["verify_exact"] == 2  # once for each object
+
+
+def test_a_capacity_error_is_not_kept(monkeypatch):
+    calls = []
+
+    def over_budget(code, *args):
+        calls.append(code)
+        raise CapacityError("multihit node budget exhausted")
+
+    code = disjoint_code()
+    monkeypatch.setattr(codes, "verify_exact", over_budget)
+    db = random_binary_db(6, 8, seed=1)
+    for _ in range(2):
+        with pytest.raises(CapacityError):
+            run_simulation(db, BinaryWord(6, 0), 0, code, seed=1)
+    assert calls == [code, code]
+
+
 def test_false_positive_demonstration():
     """A non-member code admits a record that reconstructs wrongly.
 
@@ -365,6 +460,39 @@ def test_records_of():
     assert records_of(1) == {1}
     assert records_of(0b1010) == {2, 4}
     assert records_of((1 << 300) - 1) == frozenset(range(1, 301))
+
+
+def _records_by_compress(mask):
+    """The plain conversion: walk every bit of the mask."""
+    bits = [int(c) for c in format(mask, "b")[::-1]]
+    return frozenset(itertools.compress(itertools.count(1), bits))
+
+
+@st.composite
+def record_masks(draw):
+    """An M-record mask, M in 1..20,000: empty, the top record alone,
+    sparse (the AND of k + 1 random masks has density 2^-(k+1)), dense
+    (their OR has density 1 - 2^-(k+1)) or full."""
+    M = draw(st.integers(1, 20_000), label="M")
+    shape = draw(st.sampled_from(["empty", "top", "sparse", "dense", "full"]))
+    rnd = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    if shape == "empty":
+        return 0
+    if shape == "top":
+        return 1 << (M - 1)
+    if shape == "full":
+        return (1 << M) - 1
+    mask = rnd.getrandbits(M)
+    for _ in range(draw(st.integers(0, 12), label="k")):
+        more = rnd.getrandbits(M)
+        mask = mask & more if shape == "sparse" else mask | more
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_masks())
+def test_records_of_matches_the_plain_conversion(mask):
+    assert records_of(mask) == _records_by_compress(mask)
 
 
 def test_radius_must_match_code():
