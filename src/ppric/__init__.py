@@ -62,7 +62,8 @@ from .construct import (
     doubling,
     doubling_params,
 )
-from .errors import CapacityError, FormatError, ParameterError
+from .errors import (CapacityError, ConstructionError, FormatError,
+                     ParameterError)
 from .protocol import (
     Database,
     ProtocolTranscript,

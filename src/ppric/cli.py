@@ -18,7 +18,7 @@ import functools
 import sys
 
 from . import bounds
-from .codes import PpricCode, verify_enumeration, verify_exact
+from .codes import PpricCode, verify_enumeration
 from .construct import available_recipes, build_recipe
 from .cover import Budget
 from .covering import (
@@ -34,7 +34,6 @@ from .schemes import (
     JohnsonPpricCode,
     johnson_construction,
     johnson_exact_check,
-    johnson_verify,
     product_covering_code,
     qary_verify,
     verify_johnson_covering,
@@ -81,17 +80,15 @@ def cmd_verify(args) -> int:
                             ("--enumerate", args.enumerate_oracle)):
             if given:
                 raise ParameterError(f"{flag} does not apply to a Johnson code")
-        method = "johnson"
-        verdict = johnson_verify(code)
-    elif args.q is not None:
+    if args.q is not None:
         method = f"qary[q={args.q}]"
         verdict = qary_verify(code, args.q)
     elif args.enumerate_oracle:
         method = "enumeration"
         verdict = verify_enumeration(code)
     else:
-        method = "exact"
-        verdict = verify_exact(code)
+        method = "johnson" if isinstance(code, JohnsonPpricCode) else "exact"
+        verdict = code.verdict
     _emit({"method": method, **verdict.to_json_dict()}, args.pretty)
     return 0 if verdict.is_ppric else 1
 
@@ -205,6 +202,8 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     code = _load_code(args.code)
     if isinstance(code, JohnsonPpricCode):
+        if args.q is not None:
+            raise ParameterError("--q does not apply to a Johnson code")
         db = load_database(args.db, kind="johnson", n=code.n)
         x = JohnsonWord.from_string(code.n, args.x)
         radius = code.r if args.r is None else args.r
@@ -272,7 +271,7 @@ def cmd_johnson(args) -> int:
         code = _load_code(args.verify)
         if not isinstance(code, JohnsonPpricCode):
             raise FormatError(f"{args.verify} is not a Johnson code file")
-        verdict = johnson_verify(code)
+        verdict = code.verdict
         _emit({"method": "johnson", **verdict.to_json_dict()}, args.pretty)
         return 0 if verdict.is_ppric else 1
     first, second = (load_design(p) for p in args.product)

@@ -26,7 +26,8 @@ import functools
 from dataclasses import dataclass, field
 
 from .cover import Budget
-from .errors import CapacityError, FormatError, ParameterError
+from .errors import (CapacityError, ConstructionError, FormatError,
+                     ParameterError)
 from .jsondoc import JsonDoc, integer
 from .words import (
     BinaryWord,
@@ -68,10 +69,10 @@ class PpricCode(JsonDoc):
         return [w.mask for w in self.codewords]
 
     @functools.cached_property
-    def is_ppric(self) -> bool:
-        """``verify_exact``'s answer, reached once per code object; a
+    def verdict(self) -> Verdict:
+        """``verify_exact``'s verdict, reached once per code object; a
         CapacityError is not kept, so the next read raises it again."""
-        return verify_exact(self).is_ppric
+        return verify_exact(self)
 
     # -- JSON interchange ---------------------------------------------------
 
@@ -112,6 +113,18 @@ class Verdict:
                          else self.violator.to_string()),
             "gamma_profile": {str(g): h for g, h in sorted(self.gamma_profile.items())},
         }
+
+
+def verified(code):
+    """``code`` once its cached ``verdict`` holds (either code type); else
+    ConstructionError naming the violator, an explicit raise, so the
+    check holds under python -O."""
+    verdict = code.verdict
+    if not verdict.is_ppric:
+        raise ConstructionError(
+            f"{type(code).__name__} of {code.size} words failed "
+            f"verification; violator {verdict.violator.to_string()}")
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ covering strength of the input becomes the type of the output.
 
 RECIPES, the recipe table, has one row per construction family.  Its spec
 says once when a plan is feasible, how big it is and how long it must be;
-the catalog and every builder ask it.  Every construction verifies its
-output with verify_exact before returning it.
+the catalog and every builder ask it.  Every construction returns its
+output through ``codes.verified``, so the code comes back with its
+``verdict`` already kept.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import functools
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
-from .codes import PpricCode, min_multihit_sets, verify_exact
+from .codes import PpricCode, min_multihit_sets, verified
 from .cover import check_build
 from .covering import (
     CoveringDesign,
@@ -32,23 +33,8 @@ from .covering import (
     singleton_design,
     verify_covering,
 )
-from .errors import ParameterError
+from .errors import ConstructionError, ParameterError
 from .words import BinaryWord, SchemeParams, _subsets, binom
-
-
-class ConstructionError(AssertionError):
-    """A construction produced a code that failed its own verification."""
-
-
-def _verified(code: PpricCode) -> PpricCode:
-    verdict = verify_exact(code)
-    if not verdict.is_ppric:
-        raise ConstructionError(
-            f"construction output failed verification at "
-            f"(L={code.params.L}, s={code.params.s}, r={code.params.r}); "
-            f"violator {verdict.violator}"
-        )
-    return code
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +158,7 @@ def construction1(designs, L: int) -> PpricCode:
     words = tuple(
         BinaryWord.from_support(L, b) for d in designs for b in d.blocks
     )
-    return _verified(PpricCode(params, words))
+    return verified(PpricCode(params, words))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +310,7 @@ def _extremal_code(L: int, s: int, r: int) -> PpricCode:
     halves = (first, ((1 << 2 * s + r + 1) - 1) ^ first)
     words = tuple(BinaryWord(L, m) for half in halves
                   for m in _subsets(half, s))
-    return _verified(PpricCode(SchemeParams(L, s, r), words))
+    return verified(PpricCode(SchemeParams(L, s, r), words))
 
 
 def _eps8_spec(L: int, s: int, r: int) -> tuple[int, int]:
@@ -346,7 +332,7 @@ def _eps8_code(L: int, s: int, r: int) -> PpricCode:
         BinaryWord.from_support(L, [c for i in picks for c in regions[i]])
         for picks in _EPS8_WORDS
     )
-    return _verified(PpricCode(SchemeParams(L, s, r), words))
+    return verified(PpricCode(SchemeParams(L, s, r), words))
 
 
 def _chain_family(rule: str, layout, plans=_bare) -> Family:
@@ -380,7 +366,7 @@ def _chain_family(rule: str, layout, plans=_bare) -> Family:
             return construction1(designs, L)
         # a seed family alone: no type theorem covers it, verification does
         words = tuple(BinaryWord.from_support(L, b) for b in designs[0].blocks)
-        return _verified(PpricCode(SchemeParams(L, s, r), words))
+        return verified(PpricCode(SchemeParams(L, s, r), words))
 
     return Family(rule, spec, make, plans)
 

@@ -1,13 +1,14 @@
 """Exception types shared across the package, and the input-file reader
 that turns an unreadable file into one of them.
 
-Three failure families are kept apart so callers (and the CLI exit-code
+Four failure families are kept apart so callers (and the CLI exit-code
 mapping) can tell bad input from blown resource caps:
 
-* ParameterError  -- arguments violate a documented precondition
-* CapacityError   -- the request is well-formed but exceeds an enumeration
-                     or search cap
-* FormatError     -- a file or literal could not be parsed
+* ParameterError    -- arguments violate a documented precondition
+* CapacityError     -- the request is well-formed but exceeds an enumeration
+                       or search cap
+* FormatError       -- a file or literal could not be parsed
+* ConstructionError -- a code or family the package built failed its own check
 """
 
 
@@ -27,6 +28,10 @@ class FormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class ConstructionError(AssertionError):
+    """A code or family the package built failed its own check."""
 
 
 def read_text(path: str) -> str:

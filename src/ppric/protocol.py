@@ -25,9 +25,10 @@ masks; ``records_of`` turns a mask into record indices, walking only the
 set bits of a sparse mask.
 
 Whether the intersection is right depends on the code alone, not on the
-query, so each code object is verified once, on its first use: the
-verdict is kept as the code's ``is_ppric``.  A code that fails is
-refused on every call; ``allow_unverified`` skips the check.
+query, so the check reads the code's cached ``verdict``: each code object
+is verified once, by the construction or search that built it or on its
+first use here.  A code that fails is refused on every call;
+``allow_unverified`` skips the check.
 
 Randomness comes from splitmix64 (Steele, Lea, and Flood's 64-bit mixer)
 driving a Fisher-Yates shuffle, so a transcript is reproducible from its
@@ -347,7 +348,7 @@ def _check_code(x, code, allow_unverified: bool):
             raise ParameterError("expected a Johnson-scheme code")
     else:
         raise ParameterError(f"not a scheme word: {x!r}")
-    if not (allow_unverified or code.is_ppric):
+    if not (allow_unverified or code.verdict.is_ppric):
         raise ParameterError(
             "code failed verification; pass allow_unverified=True to "
             "simulate with it anyway"

@@ -15,8 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .codes import PpricCode, Verdict
-from .construct import ConstructionError
+from .codes import PpricCode, Verdict, verified
 from .cover import Budget, Cover, check_build
 from .covering import CoveringDesign, verify_covering
 from .errors import CapacityError, FormatError, ParameterError
@@ -180,10 +179,10 @@ class JohnsonPpricCode(JsonDoc):
         return len(self.codewords)
 
     @functools.cached_property
-    def is_ppric(self) -> bool:
-        """``johnson_verify``'s answer, reached once per code object, as
-        ``PpricCode.is_ppric`` is."""
-        return johnson_verify(self).is_ppric
+    def verdict(self) -> Verdict:
+        """``johnson_verify``'s verdict, reached once per code object, as
+        ``PpricCode.verdict`` is."""
+        return johnson_verify(self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -253,14 +252,7 @@ def johnson_construction(n: int, L: int, s: int, r: int,
         drop = inside[i * s:(i + 1) * s]
         add = outside[i * s:(i + 1) * s]
         words.append(JohnsonWord(n, (x.elements - set(drop)) | set(add)))
-    code = JohnsonPpricCode(n, L, s, r, x, tuple(words))
-    verdict = johnson_verify(code)
-    if not verdict.is_ppric:
-        raise ConstructionError(
-            f"swap family failed enumeration at ({n},{L},{s},{r}): "
-            f"violator {verdict.violator.to_string()}"
-        )
-    return code
+    return verified(JohnsonPpricCode(n, L, s, r, x, tuple(words)))
 
 
 def _johnson_cover(n: int, L: int, s: int, r: int) -> Cover:

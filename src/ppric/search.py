@@ -14,7 +14,8 @@ The search is bracket first: when the smallest catalog code meets the
 paper's best lower bound it is the witness, relabelled to start with
 {1..s}, and no instance is built; otherwise the witness is the engine's
 (the first tree cover below its greedy cover, else the greedy cover).
-Every witness is re-checked with verify_exact before being returned.
+Every witness passes ``codes.verified`` before being returned, so it
+comes back with its ``verdict`` already kept.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bounds
-from .codes import PpricCode, _gamma_range, mippr_min_weight, verify_exact
+from .codes import PpricCode, _gamma_range, mippr_min_weight, verified
 from .construct import available_recipes, build_recipe
 from .cover import DEFAULT_NODE_BUDGET, Budget, Cover, check_build
 from .errors import CapacityError, ParameterError
@@ -49,15 +50,6 @@ class SearchResult(JsonDoc):
         }
 
 
-def _checked(code: PpricCode) -> PpricCode:
-    """The witness, once verify_exact accepts it (an explicit raise, so the
-    check holds under python -O)."""
-    if not verify_exact(code).is_ppric:
-        raise AssertionError("witness fails verify_exact: "
-                             f"{[w.to_string() for w in code.codewords]}")
-    return code
-
-
 class _Space(Cover):
     """Candidate pool plus the per-gamma element universes, as a cover
     instance: candidate i is the weight-s word pool[i]."""
@@ -74,23 +66,23 @@ class _Space(Cover):
                                      for g, w in widths], [full])
 
     def make_code(self, indices) -> PpricCode:
-        """The code on the given pool indices, re-checked with verify_exact."""
+        """The code on the given pool indices, verified."""
         L = self.params.L
-        return _checked(PpricCode(self.params, tuple(
+        return verified(PpricCode(self.params, tuple(
             BinaryWord(L, self.pool[i]) for i in indices)))
 
 
 def _pinned(code: PpricCode) -> PpricCode:
     """The code with its first codeword's support renamed to 1..s and the
     other coordinates after it in their order, its codewords sorted into
-    the candidate pool's order; re-checked with verify_exact."""
+    the candidate pool's order; verified, as a new code object."""
     L = code.params.L
     first = code.codewords[0].mask
     order = sorted(range(L), key=lambda c: not first >> c & 1)
     supports = sorted(
         [i for i, c in enumerate(order) if w.mask >> c & 1]
         for w in code.codewords)
-    return _checked(PpricCode(code.params, tuple(
+    return verified(PpricCode(code.params, tuple(
         BinaryWord(L, sum(1 << c for c in supp)) for supp in supports)))
 
 
@@ -111,7 +103,7 @@ def exact_n_search(L: int, s: int, r: int, size_cap: int | None = None,
     params = SchemeParams(L, s, r)
     if s == 0:
         return SearchResult(params, 1,
-                            _checked(PpricCode(params, (BinaryWord(L, 0),))), 0)
+                            verified(PpricCode(params, (BinaryWord(L, 0),))), 0)
     lower = bounds.best_lower(L, s, r)
     if size_cap is not None and size_cap < lower:
         raise ParameterError(f"size_cap {size_cap} below the lower bound {lower}")

@@ -455,6 +455,19 @@ def test_verify_refuses_hamming_flags_on_a_johnson_code(capsys, tmp_path,
     assert err.count("\n") == 1 and flag[0] in err
 
 
+def test_simulate_refuses_q_on_a_johnson_code(capsys, tmp_path):
+    rc, doc = jrun(capsys, "johnson", "--construct", "--n", "8", "--L", "4",
+                   "--s", "1", "--r", "0")
+    path = tmp_path / "j.json"
+    path.write_text(json.dumps(doc))
+    db = tmp_path / "jdb.txt"
+    db.write_text("{1,2,3,4}\n{5,6,7,8}\n")
+    rc2, out, err = run(capsys, "simulate", "--db", str(db), "--code",
+                        str(path), "--x", "{1,2,3,4}", "--q", "3")
+    assert rc2 == 2 and out == ""
+    assert err == "error: parameter: --q does not apply to a Johnson code\n"
+
+
 def test_johnson_verify_rejects_a_binary_code_file(capsys, code_file):
     rc, out, err = run(capsys, "johnson", "--verify", code_file)
     assert rc == 2 and out == ""

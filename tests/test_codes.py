@@ -1,7 +1,9 @@
+import ast
 import itertools
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -330,3 +332,29 @@ def test_split_keeps_extremal_verification_small():
     with pytest.raises(CapacityError):
         for gamma in range(1, 11):
             _min_multihit_set(code.masks(), L, gamma, budget)
+
+
+def _verifier_calls(node, scope=()):
+    """The enclosing class/function path of each call, under ``node``, to
+    ``verify_exact`` or ``johnson_verify`` (by name or attribute)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _verifier_calls(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if getattr(func, "id", getattr(func, "attr", None)) in (
+                    "verify_exact", "johnson_verify"):
+                yield ".".join(scope)
+        yield from _verifier_calls(child, scope)
+
+
+def test_only_the_verdict_properties_call_the_verifiers():
+    # every other caller reads code.verdict, so a code object's verdict is
+    # reached once however many constructions, searches and runs touch it
+    package = Path(codes.__file__).parent
+    found = sorted(f"{path.stem}:{where}"
+                   for path in package.glob("*.py")
+                   for where in _verifier_calls(ast.parse(path.read_text())))
+    assert found == ["codes:PpricCode.verdict",
+                     "schemes:JohnsonPpricCode.verdict"]

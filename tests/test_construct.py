@@ -1,6 +1,7 @@
 import pytest
 
-from ppric.codes import verify_enumeration, verify_exact
+from ppric import codes
+from ppric.codes import Verdict, verify_enumeration, verify_exact
 from ppric.construct import (
     Recipe,
     available_recipes,
@@ -18,8 +19,8 @@ from ppric.construct import (
     extremal_size,
 )
 from ppric.covering import all_pairs_design, design_9_5_2
-from ppric.errors import CapacityError, ParameterError
-from ppric.words import SchemeParams, binom
+from ppric.errors import CapacityError, ConstructionError, ParameterError
+from ppric.words import BinaryWord, SchemeParams, binom
 
 
 def test_disjoint():
@@ -29,6 +30,14 @@ def test_disjoint():
         assert verify_exact(code).is_ppric
     with pytest.raises(ParameterError):
         build_disjoint(5, 2, 0)  # needs L >= (r+3)s
+
+
+def test_construction_self_check_raises(monkeypatch):
+    # an explicit raise, so it holds under python -O too
+    failing = Verdict(False, BinaryWord(6, 0b111))
+    monkeypatch.setattr(codes, "verify_exact", lambda code: failing)
+    with pytest.raises(ConstructionError, match="violator 111000"):
+        build_disjoint(6, 2, 0)
 
 
 def test_full():

@@ -360,8 +360,28 @@ def test_a_johnson_code_object_is_verified_once(verifier_calls):
     for sd in (1, 2, 3):
         assert run_simulation(db, x, 0, code, seed=sd).reconstructed == {1}
     generate_queries(x, code, seed=4)
-    assert verifier_calls["johnson_verify"] == 2
+    # the simulations read the verdict the construction kept
+    assert verifier_calls["johnson_verify"] == 1
     assert verifier_calls["verify_exact"] == 0
+
+
+def test_a_constructed_code_object_is_verified_once(verifier_calls):
+    code = build_disjoint(6, 2, 0)
+    assert verifier_calls["verify_exact"] == 1  # the construction's check
+    db = random_binary_db(6, 8, seed=1)
+    x = BinaryWord(6, 0b100101)
+    for sd in (1, 2, 3):
+        run_simulation(db, x, 0, code, seed=sd)
+    generate_queries(x, code, seed=4)
+    assert verifier_calls == {"verify_exact": 1, "johnson_verify": 0}
+
+
+def test_a_search_witness_is_not_verified_again(verifier_calls):
+    witness = exact_n_search(7, 3, 0).witness
+    searched = verifier_calls["verify_exact"]
+    db = random_binary_db(7, 8, seed=2)
+    run_simulation(db, BinaryWord(7, 0), 0, witness, seed=1)
+    assert verifier_calls["verify_exact"] == searched
 
 
 def test_a_failing_code_is_refused_on_every_call(verifier_calls):

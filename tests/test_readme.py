@@ -1,12 +1,16 @@
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ppric
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _limits() -> dict[str, tuple[str, int]]:
@@ -47,3 +51,17 @@ def test_capacity_table_names_every_limit_with_its_value():
     limits = _limits()
     assert "BUILD_CAP" in limits and "DEFAULT_NODE_BUDGET" in limits
     assert _capacity_table() == limits
+
+
+def test_python_blocks_run_in_order():
+    # later blocks use names the earlier ones import, so they run as one
+    # script, as a reader pasting them into one session would
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                        flags=re.M | re.S)
+    assert len(blocks) >= 2
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", "\n".join(blocks)],
+                          env=env, cwd=ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""

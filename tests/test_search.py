@@ -5,11 +5,11 @@ import time
 
 import pytest
 
-from ppric import bounds, search
-from ppric.codes import make_code, verify_enumeration, verify_exact
+from ppric import bounds, codes
+from ppric.codes import Verdict, make_code, verify_enumeration, verify_exact
 from ppric.construct import available_recipes, build_eps8
 from ppric.cover import Budget, check_build
-from ppric.errors import CapacityError, ParameterError
+from ppric.errors import CapacityError, ConstructionError, ParameterError
 from ppric.search import (
     SearchResult,
     _Space,
@@ -18,6 +18,7 @@ from ppric.search import (
     exact_n_search,
     minimal_codes_enumerate,
 )
+from ppric.words import BinaryWord
 
 
 def brute_force_min(L, s, r):
@@ -157,12 +158,11 @@ def test_catalog_witness_closes_the_bracket(L, s, r):
 
 def test_catalog_self_check_raises(monkeypatch):
     # an explicit raise, so it holds under python -O too
-    class Failing:
-        is_ppric = False
-
-    monkeypatch.setattr(search, "verify_exact", lambda code: Failing)
-    with pytest.raises(AssertionError, match="fails verify_exact"):
+    failing = Verdict(False, BinaryWord(7, 0b1110000))
+    monkeypatch.setattr(codes, "verify_exact", lambda code: failing)
+    with pytest.raises(ConstructionError, match="violator 0000111"):
         exact_n_search(7, 3, 0)
+    assert issubclass(ConstructionError, AssertionError)
 
 
 def test_greedy_closes_the_bracket():
