@@ -36,7 +36,9 @@ from .words import (
     _binary_identity,
     _bit_planes,
     _lightest,
+    _points,
     _subsets,
+    _transpose,
     binom,
     check_scan_work,
 )
@@ -139,30 +141,23 @@ def verified(code):
 MULTIHIT_NODE_BUDGET = 100_000
 
 
-def _greedy_multihit(masks: list[int], L: int, gamma: int) -> int:
+def _greedy_multihit(columns: list[int], gamma: int, full: int) -> int:
     """Feasible multihit set found greedily; used as the initial upper bound.
 
-    Each step adds the coordinate lying in the most still-deficient
-    codeword supports, ties to the lowest index.
+    ``columns[c]`` masks the codewords holding coordinate c, and ``full``
+    all of them.  Each step adds the coordinate in the most still-deficient
+    supports, ties to the lowest index.  A chosen column reads 0 in
+    ``left``; another gains while a support is deficient, as each support
+    holds gamma points.
     """
-    chosen = 0
-    hits = [0] * len(masks)
-    while True:
-        deficient = [i for i, h in enumerate(hits) if h < gamma]
-        if not deficient:
-            return chosen
-        best_c, best_cnt = -1, -1
-        for c in range(L):
-            bit = 1 << c
-            if chosen & bit:
-                continue
-            cnt = sum(1 for i in deficient if masks[i] & bit)
-            if cnt > best_cnt:
-                best_c, best_cnt = c, cnt
-        chosen |= 1 << best_c
-        for i in deficient:
-            if masks[i] >> best_c & 1:
-                hits[i] += 1
+    chosen, picked, left = 0, [], list(columns)
+    while deficient := _at_most(picked, gamma - 1, full):
+        gains = [(col & deficient).bit_count() for col in left]
+        c = gains.index(max(gains))
+        chosen |= 1 << c
+        picked.append(left[c])
+        left[c] = 0
+    return chosen
 
 
 def _min_multihit_set(masks: list[int], L: int, gamma: int,
@@ -183,21 +178,20 @@ def _min_multihit_set(masks: list[int], L: int, gamma: int,
     if any(m.bit_count() < gamma for m in masks):
         return None
 
-    greedy = _greedy_multihit(masks, L, gamma)
+    columns = _transpose(masks, L)
+    greedy = _greedy_multihit(columns, gamma, (1 << len(masks)) - 1)
     best_size = greedy.bit_count()
     best_set = greedy
 
     groups: dict[int, list[int]] = {}
-    for c in range(L):
-        key = 0
-        for i, m in enumerate(masks):
-            if m >> c & 1:
-                key |= 1 << i
+    for c, key in enumerate(columns):
         if key:
             groups.setdefault(key, []).append(c)
     keys = sorted(groups)
     coords = [groups[k] for k in keys]
     caps = [len(cs) for cs in coords]
+    # the codewords each class's coordinates lie in
+    held = [_points(k) for k in keys]
     nregions = len(keys)
     take = [0] * nregions
     hits = [0] * len(masks)
@@ -246,17 +240,11 @@ def _min_multihit_set(masks: list[int], L: int, gamma: int,
             if not keys[j] >> worst_i & 1 or f >> j & 1 or take[j] >= caps[j]:
                 continue
             take[j] += 1
-            kk = keys[j]
-            while kk:
-                lowb = kk & -kk
-                hits[lowb.bit_length() - 1] += 1
-                kk ^= lowb
+            for i in held[j]:
+                hits[i] += 1
             rec(size + 1, f)
-            kk = keys[j]
-            while kk:
-                lowb = kk & -kk
-                hits[lowb.bit_length() - 1] -= 1
-                kk ^= lowb
+            for i in held[j]:
+                hits[i] -= 1
             take[j] -= 1
             f |= 1 << j
             room -= caps[j] - take[j]
@@ -265,11 +253,8 @@ def _min_multihit_set(masks: list[int], L: int, gamma: int,
 
     rec(0, 0)
     if best_take is not None:
-        chosen = 0
-        for j, tk in enumerate(best_take):
-            for c in coords[j][:tk]:
-                chosen |= 1 << c
-        best_set = chosen
+        best_set = sum(1 << c for cs, tk in zip(coords, best_take)
+                       for c in cs[:tk])
     return (best_size, best_set)
 
 
@@ -373,16 +358,9 @@ def verify_exact(code: PpricCode, node_budget: int | None = None) -> Verdict:
     for gamma, (h, hit_set) in hits.items():  # gamma <= s, so never None
         profile[gamma] = h
         if violator is None and h <= min(r + 2 * gamma, L):
-            w = max(h, r + 2 * gamma - 1)
-            pad = w - hit_set.bit_count()
-            m = hit_set
-            c = 0
-            while pad > 0:
-                if not m >> c & 1:
-                    m |= 1 << c
-                    pad -= 1
-                c += 1
-            violator = BinaryWord(L, m)
+            pad = next(_subsets(((1 << L) - 1) ^ hit_set, max(
+                h, r + 2 * gamma - 1) - hit_set.bit_count()))
+            violator = BinaryWord(L, hit_set | pad)
     return Verdict(violator is None, violator, profile)
 
 

@@ -6,9 +6,12 @@ c(n, k, t) (``covering``) and the Johnson-scheme 2r+3 check
 (``schemes``).  Each caller states only its instance, a ``Cover`` of
 ground-set masks in which a candidate covers an element when their
 overlap is below a bound; this module builds its bitsets and searches it.
-``check_build`` is the one size rule: the search and the Johnson check
-pass it their instance, counted in closed form, before building it (the
-covering numbers, n <= EXACT_N_CAP, stay far below it).
+``words._at_most`` counts every overlap over transposed masks: the build
+fills the cover rows, and a handler row is counted when the tree first
+reads it (it reads few).  ``check_build`` is the one size rule: the
+search and the Johnson check pass it their instance, counted in closed
+form, before building it (the covering numbers, n <= EXACT_N_CAP, stay
+far below it).
 
 Candidate 0 is pinned: every cover searched contains it, which each
 caller justifies by symmetry.  ``solve`` brackets the minimum first: a
@@ -52,11 +55,13 @@ import functools
 import operator
 
 from .errors import CapacityError, ParameterError
+from .words import _at_most, _points, _transpose
 
 DEFAULT_NODE_BUDGET = 5_000_000
-# a build's cost: the (candidate, element) pairs of its two bit tables plus
-# 512 per row (about 12 ns and 0.4 B a pair, 6 us and 100 B a row); the
-# cap is the cost of the binary (72, 2, 67) instance, 2556 by 59,712
+# a build's cost: its (candidate, element) pairs plus 512 per row, as
+# calibrated when a build filled a handler table too (12 ns and 0.4 B a
+# pair, 6 us and 100 B a row) and kept; the cap is the cost of the binary
+# (72, 2, 67) instance, 2556 by 59,712
 BUILD_CAP = 184_505_088
 # how many uncovered elements to inspect when choosing the branch element
 ELEMENT_WINDOW = 64
@@ -69,21 +74,6 @@ def check_build(candidates: int, elements: int) -> None:
                             f"{elements} elements exceeds BUILD_CAP")
 
 
-def _below(rows: list[int], cols: list[int], bound: int) -> list[int]:
-    """Per row, the mask of the cols it overlaps in fewer than bound places.
-
-    A lane per ground coordinate has byte j set to 1 where cols[j] holds
-    it, so a row's lane sum has every overlap count in a byte; its
-    big-endian bytes, translated to '1'/'0', read in base 2 give bit j.
-    """
-    lanes = [int.from_bytes(bytes(m >> g & 1 for m in cols), "little")
-             for g in range(max(rows).bit_length())]
-    table = bytes(b"01"[v < bound] for v in range(256))
-    return [int(sum(lane for g, lane in enumerate(lanes) if row >> g & 1)
-                .to_bytes(len(cols), "big").translate(table), 2)
-            for row in rows]
-
-
 class Budget:
     __slots__ = ("nodes", "limit")
 
@@ -92,10 +82,6 @@ class Budget:
             raise ParameterError(f"node budget must be nonnegative, got {limit}")
         self.nodes = 0
         self.limit = limit
-
-
-# a byte lane's 0/1 to the digit '0'/'1'
-_BITS = bytes(48 + (v & 1) for v in range(256))
 
 
 def _refine(cells: list[int], part: int) -> list[int]:
@@ -110,7 +96,8 @@ def _refine(cells: list[int], part: int) -> list[int]:
 
 
 class Cover:
-    """Bitset instance: a cover mask per candidate, a handler mask per element.
+    """Bitset instance: a cover mask per candidate, built at once, and a
+    handler mask per element, ``handlers(j)``, counted on first read.
 
     ``candidates`` are ground-set masks.  Each segment is a pair
     ``(element_masks, bound)``; elements are indexed in segment order, and
@@ -122,10 +109,6 @@ class Cover:
 
     def __init__(self, candidates: list[int],
                  segments: list[tuple[list[int], int]], cells: list[int]):
-        heaviest = max(e.bit_count() for masks, _ in segments for e in masks)
-        # a byte lane holds overlap counts up to 255
-        if min(heaviest, max(map(int.bit_count, candidates))) > 255:
-            raise ParameterError("overlap counts over 255 overflow a byte lane")
         if sum(map(int.bit_count, cells)) != functools.reduce(
                 operator.or_, cells, 0).bit_count():
             raise ParameterError("symmetry cells must be disjoint")
@@ -143,32 +126,45 @@ class Cover:
         self.width = points.bit_length()
         self.digit = max(map(int.bit_count, candidates)).bit_length()
         self.field = (self.width + self.digit * (points.bit_count() // 2)
-                      + 7) // 8
-        size = self.field * len(candidates)
+                      + 7) // 8 or 1
         self.spread = int.from_bytes(
             (b"\x01" + bytes(self.field - 1)) * len(candidates), "little")
         self.keyed = int.from_bytes(b"".join(
             m.to_bytes(self.field, "little") for m in candidates), "little")
-        self.lanes, self.members = [], []
-        for g in range(self.width if self.cells else 0):
-            held = bytes(m >> g & 1 for m in candidates)
-            lane = bytearray(size)
-            lane[::self.field] = held
-            self.lanes.append(int.from_bytes(lane, "little"))
-            self.members.append(int(held[::-1].translate(_BITS), 2))
+        self.lanes = [self.keyed >> g & self.spread
+                      for g in range(self.width if self.cells else 0)]
+        self.members = _transpose(candidates, self.width)
         self.cover = [0] * len(candidates)
-        self.handler = []
-        # (offset, width mask, largest per-candidate count) per segment
-        self.segments = []
+        # (offset, width mask, largest per-candidate count) per segment,
+        # and (offset, bound) per segment for the handler rows
+        self.segments, self.bounds = [], []
+        offset = 0
         for masks, bound in segments:
-            offset = len(self.handler)
-            rows = _below(candidates, masks, bound)
+            # a row: the elements that its points' planes add up below bound
+            planes = _transpose(masks, self.width)
+            seg = (1 << len(masks)) - 1
+            rows = [_at_most([planes[g] for g in _points(c)], bound - 1, seg)
+                    for c in candidates]
             self.cover = [m | row << offset for m, row in zip(self.cover, rows)]
-            self.handler += _below(masks, candidates, bound)
-            self.segments.append((offset, (1 << len(masks)) - 1,
-                                  max(map(int.bit_count, rows))))
-        self.full = (1 << len(self.handler)) - 1
+            self.segments.append((offset, seg, max(map(int.bit_count, rows))))
+            self.bounds.append((offset, bound))
+            offset += len(masks)
+        self.full = (1 << offset) - 1
         self.full_pool = (1 << len(candidates)) - 1
+        # the handler rows, counted by ``handlers`` when first read
+        self.handler = [None] * offset
+
+    def handlers(self, j: int) -> int:
+        """Mask of the candidates covering element j, counted over the
+        candidate planes (``members``) of j's points on the first read and
+        kept; no candidate holds a point off ``ground``."""
+        row = self.handler[j]
+        if row is None:
+            bound = max(b for b in self.bounds if b[0] <= j)[1]
+            points = _points(self.elements[j] & self.ground)
+            row = self.handler[j] = _at_most(
+                [self.members[g] for g in points], bound - 1, self.full_pool)
+        return row
 
     def pick_element(self, unhandled: int, alive: int) -> int:
         """Index of the branch element, or -1 for a dead position.
@@ -187,7 +183,8 @@ class Cover:
             u ^= low
             seen += 1
             j = low.bit_length() - 1
-            c = (handler[j] & alive).bit_count()
+            # an unread row is None; a read row of 0 is kept by handlers
+            c = ((handler[j] or self.handlers(j)) & alive).bit_count()
             if c == 0:
                 return -1
             if best == 0 or c < best:

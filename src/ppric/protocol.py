@@ -135,23 +135,29 @@ class Database:
     @classmethod
     def from_text(cls, text: str, kind: str = "binary", q: int = 2,
                   n: int = 0) -> "Database":
-        """One word per line; blank lines and '#' comments are skipped."""
+        """One word per line; blank lines and '#' comments are skipped.  A
+        bad, out-of-range or differently shaped word is a FormatError."""
+        parse = {"binary": BinaryWord.from_string,
+                 "qary": functools.partial(QaryWord.from_string, q),
+                 "johnson": functools.partial(JohnsonWord.from_string, n)}
+        if kind not in parse:
+            raise ParameterError(f"unknown record kind {kind!r}")
+        if kind == "qary" and q < 2:
+            raise ParameterError("alphabet size q must be >= 2")
         records = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                if kind == "binary":
-                    records.append(BinaryWord.from_string(line))
-                elif kind == "qary":
-                    records.append(QaryWord.from_string(q, line))
-                elif kind == "johnson":
-                    records.append(JohnsonWord.from_string(n, line))
-                else:
-                    raise ParameterError(f"unknown record kind {kind!r}")
-            except FormatError as exc:
+                word = parse[kind](line)
+                # one kind, q and n: the length is all that can differ
+                if records and word.length != records[0].length:
+                    raise FormatError(f"record of length {word.length} after "
+                                      f"length {records[0].length}")
+            except (FormatError, ParameterError) as exc:
                 raise FormatError(str(exc), line=lineno) from exc
+            records.append(word)
         if not records:
             raise FormatError("no records in database text")
         return cls(tuple(records))

@@ -24,7 +24,8 @@ a lane's distance to the word is how many of those planes miss it, which
 ``_at_most`` counts for every lane at once.  ``_scan_identity`` checks
 the sphere identity this way in all three spaces, and the binary
 verdicts, profiles and weight counts of ``codes`` and ``search`` read
-F_2^L the same way.
+F_2^L the same way; the cover build and the multihit search count over
+masks turned into planes by ``_transpose``.
 
 Enumerations and scans share one rule, ``check_scan``: at most SCAN_CAP =
 2**24 words, one lane each (binary L <= 24, q-ary q**L <= 2**24, Johnson
@@ -371,6 +372,22 @@ def _at_most(planes, radius: int, full: int) -> int:
         else:
             equal &= ~digits[b]
     return below | equal
+
+
+# per bit b, a byte to the digit '0' or '1' of its bit b
+_DIGITS = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
+
+
+def _transpose(masks: list[int], width: int) -> list[int]:
+    """Entry g < width: the mask of the (nonempty) ``masks`` holding point
+    g, bit i for masks[i].  With a field of bytes per mask, last mask
+    first, the byte holding g in every field gives g's digits in base 2."""
+    size = (max(width, max(masks).bit_length()) + 7 >> 3) or 1
+    data = bytearray(len(masks) * size)
+    for at, m in zip(range(len(data) - size, -1, -size), masks):
+        data[at:at + size] = m.to_bytes(size, "little")
+    return [int(data[g >> 3::size].translate(_DIGITS[g & 7]), 2)
+            for g in range(width)]
 
 
 def _qary_plane(q: int, L: int, j: int, a: int) -> int:

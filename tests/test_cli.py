@@ -468,6 +468,17 @@ def test_simulate_refuses_q_on_a_johnson_code(capsys, tmp_path):
     assert err == "error: parameter: --q does not apply to a Johnson code\n"
 
 
+def test_simulate_names_the_line_of_a_bad_record(capsys, tmp_path,
+                                                 code_file):
+    db = tmp_path / "db.txt"
+    db.write_text("# six coordinates\n110000\n11000\n")
+    rc, out, err = run(capsys, "simulate", "--db", str(db), "--code",
+                       code_file, "--x", "110000")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: format: line 3: ")
+    assert err.count("\n") == 1
+
+
 def test_johnson_verify_rejects_a_binary_code_file(capsys, code_file):
     rc, out, err = run(capsys, "johnson", "--verify", code_file)
     assert rc == 2 and out == ""

@@ -1,6 +1,7 @@
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ppric.codes import _gamma_range
 from ppric.cover import BUILD_CAP, Budget, Cover, check_build
@@ -11,23 +12,87 @@ from ppric.search import _Space
 from ppric.words import MAX_LENGTH, SCAN_CAP, johnson_sphere_size
 
 
-def test_lane_holds_counts_up_to_255():
+def _below(rows, cols, bound, lane=1):
+    """Per row, the mask of the cols it overlaps in fewer than bound
+    places: the byte-lane counter the cover build once used, as an oracle.
+
+    A lane per ground coordinate has a count of ``lane`` bytes per col,
+    set to 1 where cols[j] holds it, so a row's lane sum has every overlap
+    count in one count; ``lane`` bytes hold counts below 256 ** lane."""
+    lanes = [int.from_bytes(b"".join((m >> g & 1).to_bytes(lane, "little")
+                                     for m in cols), "little")
+             for g in range(max(rows).bit_length())]
+    out = []
+    for row in rows:
+        counts = sum(v for g, v in enumerate(lanes) if row >> g & 1
+                     ).to_bytes(len(cols) * lane, "little")
+        out.append(sum(1 << j for j in range(len(cols)) if int.from_bytes(
+            counts[j * lane:(j + 1) * lane], "little") < bound))
+    return out
+
+
+WIDE = 400
+# about half the points, or about 7/8 of them, so that two dense masks
+# overlap in more than 255 points
+SPARSE = st.integers(0, (1 << WIDE) - 1)
+DENSE = st.tuples(SPARSE, SPARSE, SPARSE).map(lambda t: t[0] | t[1] | t[2])
+MASKS = st.lists(st.one_of(SPARSE, DENSE), min_size=1, max_size=12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(MASKS, st.lists(st.tuples(MASKS, st.integers(0, WIDE + 1)),
+                       min_size=1, max_size=3))
+# every candidate empty: no point at all, and still a valid instance
+@example([0], [([0, 1], 1), ([1], 0)])
+def test_tables_match_the_byte_lane_oracle(candidates, segments):
+    inst = Cover(candidates, segments, [])
+    rows = [0] * len(candidates)
+    handlers = []
+    offset = 0
+    for masks, bound in segments:
+        # two-byte lanes: the overlaps here reach WIDE
+        got = _below(candidates, masks, bound, lane=2)
+        rows = [m | row << offset for m, row in zip(rows, got)]
+        handlers += _below(masks, candidates, bound, lane=2)
+        offset += len(masks)
+    assert inst.cover == rows
+    assert [inst.handlers(j) for j in range(offset)] == handlers
+
+
+def test_counts_up_to_255():
     big = (1 << 255) - 1
     # overlaps 255 and 254 against bound 255: only the second is covered
     inst = Cover([big], [([big, big >> 1], 255)], [])
     assert inst.cover == [0b10]
-    assert inst.handler == [0, 1]
+    assert [inst.handlers(j) for j in range(2)] == [0, 1]
+    assert _below([big], [big, big >> 1], 255) == [0b10]
 
 
-def test_lane_guard():
+def test_heavy_overlaps_build():
+    # overlaps of 256 and more, past what one byte lane holds, are counted
     heavy = (1 << 256) - 1
-    with pytest.raises(ParameterError, match="byte lane"):
-        Cover([heavy], [([heavy], 1)], [])
+    candidates, elements = [heavy, heavy >> 1], [heavy, heavy << 1]
+    inst = Cover(candidates, [(elements, 256)], [])
+    assert inst.cover == [0b10, 0b11]
+    assert [inst.handlers(j) for j in range(2)] == [0b10, 0b11]
+    for c, cand in enumerate(candidates):
+        for j, e in enumerate(elements):
+            hit = (cand & e).bit_count() < 256
+            assert (inst.cover[c] >> j & 1) == hit == (inst.handlers(j) >> c & 1)
     # light elements bound every overlap, however heavy the candidates
     far = 0b11 << 300
     inst = Cover([heavy, far | 1 << 302], [([0b11, far], 2)], [])
     assert inst.cover == [0b10, 0b01]
-    assert inst.handler == [0b10, 0b01]
+    assert [inst.handlers(j) for j in range(2)] == [0b10, 0b01]
+
+
+def test_build_counts_no_handler_row():
+    # the build fills only the cover table; the tree counts a handler row
+    # when it first reads it
+    inst = _johnson_cover(20, 10, 1, 3)
+    assert inst.handler == [None] * 44_100
+    assert inst.handlers(0) == inst.handler[0] is not None
+    assert inst.handler.count(None) == 44_099
 
 
 def test_cells_must_be_disjoint():

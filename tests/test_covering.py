@@ -127,13 +127,13 @@ def test_instance_masks_match_definition(n, k, t):
     blocks = [set(b) for b in itertools.combinations(range(1, n + 1), k)]
     subsets = [set(T) for T in itertools.combinations(range(1, n + 1), t)]
     assert len(inst.cover) == len(blocks)
-    assert len(inst.handler) == len(subsets)
+    assert len(inst.elements) == len(subsets)
     assert max(inst.cover) >> len(subsets) == 0
-    assert max(inst.handler) >> len(blocks) == 0
+    assert max(map(inst.handlers, range(len(subsets)))) >> len(blocks) == 0
     for c, B in enumerate(blocks):
         for j, T in enumerate(subsets):
             hit = T <= B
-            assert (inst.cover[c] >> j & 1) == hit == (inst.handler[j] >> c & 1)
+            assert (inst.cover[c] >> j & 1) == hit == (inst.handlers(j) >> c & 1)
 
 
 # every (n, k, t) with n <= 7 that exact_covering_number accepts

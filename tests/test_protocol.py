@@ -94,6 +94,27 @@ def test_from_text_reports_line():
     assert "line 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("text,kind", [
+    # an element out of range, a symbol out of range
+    ("{1,3,5}\n{1,9,2}\n", {"kind": "johnson", "n": 6}),
+    ("0,1,2\n0,5,1\n", {"kind": "qary", "q": 3}),
+    # a record shaped unlike line 1
+    ("0101\n011\n", {}),
+    ("0,1,2\n0,1\n", {"kind": "qary", "q": 3}),
+    ("{1,2}\n{1,2,3}\n", {"kind": "johnson", "n": 6}),
+])
+def test_from_text_reports_line_of_a_bad_record(text, kind):
+    with pytest.raises(FormatError, match="^line 2: "):
+        Database.from_text(text, **kind)
+
+
+def test_from_text_bad_parameters_stay_parameter_errors():
+    with pytest.raises(ParameterError, match="record kind"):
+        Database.from_text("0101\n", kind="ternary")
+    with pytest.raises(ParameterError, match="alphabet size"):
+        Database.from_text("0,0\n", kind="qary", q=1)
+
+
 def test_from_text_empty():
     with pytest.raises(FormatError):
         Database.from_text("# only a comment\n\n")

@@ -424,7 +424,7 @@ class JohnsonCodeTests(unittest.TestCase):
             self.assertLess(time.perf_counter() - start, 1)
         # B(v0, 4) has 60,626 words, but only the 44,100 outside B(x, 3)
         # are elements, so the instance is built
-        self.assertEqual(len(_johnson_cover(20, 10, 1, 3).handler), 44_100)
+        self.assertEqual(len(_johnson_cover(20, 10, 1, 3).elements), 44_100)
 
     def test_instance_masks_match_definition(self):
         # sphere word v covers y (in B(v0, r+s), outside B(x, r)) iff
@@ -443,14 +443,15 @@ class JohnsonCodeTests(unittest.TestCase):
             universe = [y for d in range(r + s + 1) for y in swaps(sphere[0], d)
                         if len(x - y) > r]
             self.assertEqual(len(inst.cover), len(sphere))
-            self.assertEqual(len(inst.handler), len(universe))
+            self.assertEqual(len(inst.elements), len(universe))
             self.assertEqual(max(inst.cover) >> len(universe), 0)
-            self.assertEqual(max(inst.handler) >> len(sphere), 0)
+            self.assertEqual(max(map(inst.handlers, range(len(universe))))
+                             >> len(sphere), 0)
             for c, v in enumerate(sphere):
                 for j, y in enumerate(universe):
                     hit = len(v - y) > r + s
                     self.assertEqual(inst.cover[c] >> j & 1, hit)
-                    self.assertEqual(inst.handler[j] >> c & 1, hit)
+                    self.assertEqual(inst.handlers(j) >> c & 1, hit)
 
     def test_exact_check(self):
         self.assertTrue(johnson_exact_check(8, 4, 1, 0))

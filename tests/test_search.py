@@ -243,13 +243,13 @@ def test_space_masks_match_definition(L, s, r):
     elements = [(g, set(P)) for g in range(1, min(s, (L - r + 1) // 2) + 1)
                 for P in itertools.combinations(range(L), min(r + 2 * g, L))]
     assert len(space.cover) == len(supports)
-    assert len(space.handler) == len(elements)
+    assert len(space.elements) == len(elements)
     assert max(space.cover) >> len(elements) == 0
-    assert max(space.handler) >> len(supports) == 0
+    assert max(map(space.handlers, range(len(elements)))) >> len(supports) == 0
     for c, supp in enumerate(supports):
         for j, (g, P) in enumerate(elements):
             hit = len(P & supp) < g
-            assert (space.cover[c] >> j & 1) == hit == (space.handler[j] >> c & 1)
+            assert (space.cover[c] >> j & 1) == hit == (space.handlers(j) >> c & 1)
 
 
 def test_s_zero_trivial():
