@@ -160,29 +160,21 @@ def _greedy_multihit(columns: list[int], gamma: int, full: int) -> int:
     return chosen
 
 
-def _min_multihit_set(masks: list[int], L: int, gamma: int,
-                      budget: Budget) -> tuple[int, int] | None:
-    """(h(gamma), witness mask), or None when gamma exceeds the weight s.
+def _min_multihit_set(masks: list[int], L: int, gammas,
+                      budget: Budget) -> dict[int, tuple[int, int] | None]:
+    """gamma -> (h(gamma), witness mask) for each of ``gammas``, or None
+    where gamma exceeds the lightest support.
 
     Branch and bound over coordinate classes: coordinates with the same
     codeword-membership pattern are interchangeable, so the search only
-    decides how many to take from each class.  Branching: the codeword
-    with the largest remaining deficit, over the classes meeting it (a
-    class passed over is frozen for the whole subtree).  Lower bounds:
-    the largest single deficit, and the total deficit divided by the best
-    per-coordinate yield among usable classes.  Every node of the search
-    counts against ``budget``.
+    decides how many to take from each class; the classes serve every
+    gamma.  Branching: the codeword with the largest remaining deficit,
+    over the classes meeting it (a class passed over is frozen for the
+    whole subtree).  Lower bounds: the largest single deficit, and the
+    total deficit divided by the best per-coordinate yield among usable
+    classes.  Every node of the search counts against ``budget``.
     """
-    if gamma <= 0:
-        return (0, 0)
-    if any(m.bit_count() < gamma for m in masks):
-        return None
-
     columns = _transpose(masks, L)
-    greedy = _greedy_multihit(columns, gamma, (1 << len(masks)) - 1)
-    best_size = greedy.bit_count()
-    best_set = greedy
-
     groups: dict[int, list[int]] = {}
     for c, key in enumerate(columns):
         if key:
@@ -195,7 +187,6 @@ def _min_multihit_set(masks: list[int], L: int, gamma: int,
     nregions = len(keys)
     take = [0] * nregions
     hits = [0] * len(masks)
-    best_take: list[int] | None = None
 
     def rec(size: int, frozen: int):
         nonlocal best_size, best_take
@@ -251,11 +242,18 @@ def _min_multihit_set(masks: list[int], L: int, gamma: int,
             if room < worst_def:
                 return
 
-    rec(0, 0)
-    if best_take is not None:
-        best_set = sum(1 << c for cs, tk in zip(coords, best_take)
-                       for c in cs[:tk])
-    return (best_size, best_set)
+    out: dict[int, tuple[int, int] | None] = {}
+    for gamma in gammas:  # rec reads gamma and leaves take and hits at 0
+        if any(m.bit_count() < gamma for m in masks):
+            out[gamma] = None
+        else:
+            greedy = _greedy_multihit(columns, gamma, (1 << len(masks)) - 1)
+            best_size, best_take = greedy.bit_count(), None
+            rec(0, 0)
+            out[gamma] = (best_size, greedy if best_take is None else
+                          sum(1 << c for cs, tk in zip(coords, best_take)
+                              for c in cs[:tk]))
+    return out
 
 
 def _components(masks: list[int]) -> list[tuple[list[int], tuple[int, ...]]]:
@@ -296,21 +294,24 @@ def min_multihit_sets(masks: list[int], gammas,
     (``_components``): h(gamma) is the sum of the components' values and
     the witness the union of their witnesses.  Components with equal
     compacted masks, such as the repeated blocks of a disjoint union, are
-    solved once.  All of it shares one budget of ``node_budget`` nodes
-    (default MULTIHIT_NODE_BUDGET); beyond it CapacityError is raised.
+    solved once, for all the gammas in one call.  All of it shares one
+    budget of ``node_budget`` nodes (default MULTIHIT_NODE_BUDGET); beyond
+    it CapacityError is raised.
     """
     budget = Budget(MULTIHIT_NODE_BUDGET if node_budget is None
                     else node_budget)
+    gammas = list(gammas)
     parts = _components(masks)
-    solved: dict[tuple[tuple[int, ...], int], tuple[int, int] | None] = {}
+    solved: dict[tuple[int, ...], dict[int, tuple[int, int] | None]] = {}
+    for coords, local in parts:
+        if local not in solved:
+            solved[local] = _min_multihit_set(list(local), len(coords),
+                                              gammas, budget)
     out: dict[int, tuple[int, int] | None] = {}
     for gamma in gammas:
         h = witness = 0
         for coords, local in parts:
-            if (local, gamma) not in solved:
-                solved[local, gamma] = _min_multihit_set(
-                    list(local), len(coords), gamma, budget)
-            res = solved[local, gamma]
+            res = solved[local][gamma]
             if res is None:
                 out[gamma] = None
                 break

@@ -8,21 +8,22 @@ answers with its database records within the radius, and the
 intersection of the answers is exactly the radius-r neighborhood of the
 user's word whenever the code verifies.
 
-A server answers with one column scan over its whole database, bit-sliced
-across records (Biham, FSE 1997).  Every record is written as one row of
-characters: a binary word's bits, a q-ary word's symbols, or a Johnson
-word's characteristic vector over {1..n}.  For each column j and
-character c the database keeps, built on first use, one M-bit int whose
-bit m-1 is set when record m does *not* carry c in column j.  A query's
-features are (column, character) pairs: every column of a Hamming-scheme
-word, and the element columns of a Johnson word with character "1".  The
-distance from the query to record m is the number of features the record
-lacks, so the scan adds the query's "lacks" planes into the vertical
-ripple-carry counter ``words._at_most``, which the identity scans in
-``schemes`` share, and compares the counter with the radius bit by bit.
-The answer is the resulting record mask, and reconstruction ANDs the
-masks; ``records_of`` turns a mask into record indices, walking only the
-set bits of a sparse mask.
+A server answers with one scan over its whole database, bit-sliced
+across records (Biham, FSE 1997).  A query's features are (coordinate,
+symbol) pairs: every coordinate of a Hamming-scheme word with its bit or
+symbol, and each element e of a Johnson word as coordinate e-1 with
+symbol 1.  For each symbol a query asks about, the database keeps, built
+on its first use, one M-bit "lacks" plane per coordinate j, whose bit m-1
+is set when record m does *not* carry that symbol at j: one
+``words._transpose`` of the records' masks of the coordinates holding the
+symbol, so a symbol costs O(M*L) once and the alphabet size never
+matters.  The distance from the query to record m is the number of
+features the record lacks, so the scan adds the query's planes into the
+vertical ripple-carry counter ``words._at_most``, which the identity
+scans in ``schemes`` share, and compares the counter with the radius bit
+by bit.  The answer is the resulting record mask, and reconstruction
+ANDs the masks; ``records_of`` turns a mask into record indices, walking
+only the set bits of a sparse mask.
 
 Whether the intersection is right depends on the code alone, not on the
 query, so the check reads the code's cached ``verdict``: each code object
@@ -47,7 +48,8 @@ from .codes import PpricCode
 from .errors import FormatError, ParameterError, read_text
 from .jsondoc import JsonDoc
 from .schemes import JohnsonPpricCode
-from .words import BinaryWord, JohnsonWord, QaryWord, _at_most, binom
+from .words import (BinaryWord, JohnsonWord, QaryWord, _at_most, _transpose,
+                    binom)
 
 _MASK64 = (1 << 64) - 1
 
@@ -69,8 +71,8 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform draw from 0..bound-1 by rejection."""
-        if bound <= 0:
-            raise ParameterError("bound must be positive")
+        if not 0 < bound <= _MASK64 + 1:
+            raise ParameterError("bound must be in 1..2**64")
         limit = _MASK64 + 1 - ((_MASK64 + 1) % bound)
         while True:
             draw = self.next64()
@@ -120,8 +122,25 @@ class Database:
         return len(self.records)
 
     @functools.cached_property
-    def _columns(self) -> _Columns:
-        return _Columns(self.records)
+    def _full(self) -> int:
+        return (1 << len(self.records)) - 1
+
+    @functools.cached_property
+    def _lacks(self) -> dict[int, list[int]]:
+        """symbol -> its "lacks" planes, filled by ``_lacking``."""
+        return {}
+
+    def _lacking(self, symbol: int) -> list[int]:
+        """Entry j: bit m-1 set iff record m does not carry ``symbol`` at
+        coordinate j; one transpose of the records' masks, on first use."""
+        planes = self._lacks.get(symbol)
+        if planes is None:
+            first = self.records[0]
+            width = first.n if isinstance(first, JohnsonWord) else first.length
+            held = [_holding(w, symbol) for w in self.records]
+            planes = [self._full ^ p for p in _transpose(held, width)]
+            self._lacks[symbol] = planes
+        return planes
 
     def record(self, m: int):
         if not 1 <= m <= len(self.records):
@@ -174,56 +193,24 @@ def _shape(word) -> tuple:
     raise ParameterError(f"not a scheme word: {word!r}")
 
 
-def _rows(words) -> list[str]:
-    """Each word of one shape as a row of characters, one per column.
-
-    Column j holds coordinate L-j of a binary word, chr() of symbol j+1 of
-    a q-ary word, and "1" for a Johnson word exactly when element n-j
-    belongs to it.
-    """
-    kind, first, *_ = _shape(words[0])
-    if kind == "binary":
-        fmt = f"0{first}b"
-        return [format(w.mask, fmt) for w in words]
-    if kind == "qary":
-        return ["".join(map(chr, w.symbols)) for w in words]
-    fmt = f"0{first}b"
-    return [format(sum(1 << (e - 1) for e in w.elements), fmt) for w in words]
+def _holding(word, symbol: int) -> int:
+    """Mask of the coordinates at which ``word`` carries ``symbol``: bit j
+    for coordinate j+1 of a Hamming-scheme word, bit e-1 for element e of a
+    Johnson word (whose elements carry symbol 1)."""
+    if isinstance(word, BinaryWord):
+        return word.mask if symbol else word.mask ^ ((1 << word.length) - 1)
+    if isinstance(word, QaryWord):
+        return sum(1 << j for j, a in enumerate(word.symbols) if a == symbol)
+    return sum(1 << e - 1 for e in word.elements)
 
 
-def _features(word) -> list[tuple[int, str]]:
-    """(column, character) pairs; a record's distance is how many it lacks."""
-    if isinstance(word, JohnsonWord):
-        return [(word.n - e, "1") for e in word.elements]
-    return list(enumerate(_rows([word])[0]))
-
-
-class _Columns:
-    """The database transposed: one string per column, planes on demand."""
-
-    def __init__(self, records):
-        self.shape = _shape(records[0])
-        rows = _rows(records)
-        width = len(rows[0])
-        text = "".join(rows)
-        self.size = len(rows)
-        self.full = (1 << self.size) - 1
-        # reversed, so that record m lands on bit m-1 of int(column, 2)
-        self.columns = [text[j::width][::-1] for j in range(width)]
-        alphabet = set(text) if self.shape[0] == "qary" else "01"
-        # every character in the columns marks a lack unless overridden
-        self._lacking = dict.fromkeys(map(ord, alphabet), "1")
-        self._planes = {}
-
-    def lacks(self, column: int, char: str) -> int:
-        """Bit m-1 set iff record m does not carry ``char`` in ``column``."""
-        key = (column, char)
-        plane = self._planes.get(key)
-        if plane is None:
-            table = {**self._lacking, ord(char): "0"}
-            plane = int(self.columns[column].translate(table), 2)
-            self._planes[key] = plane
-        return plane
+def _features(word) -> list[tuple[int, int]]:
+    """(coordinate, symbol) pairs; a record's distance is how many it lacks."""
+    if isinstance(word, BinaryWord):
+        return [(j, word.mask >> j & 1) for j in range(word.length)]
+    if isinstance(word, QaryWord):
+        return list(enumerate(word.symbols))
+    return [(e - 1, 1) for e in word.elements]
 
 
 # a mask's bits, printed as '0' or '1', become bytes 0 or 1
@@ -377,18 +364,17 @@ def server_answer(db: Database, query: Query) -> int:
     """Mask of the records within the query radius, bit m-1 for record m;
     one server's whole job.
 
-    One bit-sliced column scan over every record at once (see the module
+    One bit-sliced scan over every record at once (see the module
     docstring).
     """
-    index = db._columns
-    shape = _shape(query.vector)
-    if shape != index.shape:
+    shape, records = _shape(query.vector), _shape(db.records[0])
+    if shape != records:
         raise ParameterError(
-            f"query {shape} does not match the database's records "
-            f"{index.shape}"
+            f"query {shape} does not match the database's records {records}"
         )
-    planes = (index.lacks(j, c) for j, c in _features(query.vector))
-    return _at_most(planes, query.radius, index.full)
+    lacking = db._lacking
+    planes = [lacking(a)[j] for j, a in _features(query.vector)]
+    return _at_most(planes, query.radius, db._full)
 
 
 def reconstruct(masks) -> int:

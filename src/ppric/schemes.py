@@ -6,8 +6,9 @@ r+2s+1, so proximity codes carry over with the metric swapped.  Everything
 here runs at enumeration scale: spaces are scanned outright and verdicts
 are definitional.  An identity scan runs on ``words._scan_identity``, the
 one whole-space scan engine: each word of the space, in ``itertools``
-order, gets one bit lane, counted on the protocol's bit-lane counter, and
-the scan's mask of disagreeing lanes is decoded here.
+order, gets one bit lane, counted by the vertical counter
+``words._at_most``, and the scan's mask of disagreeing lanes is decoded
+here.
 """
 
 from __future__ import annotations

@@ -24,8 +24,9 @@ a lane's distance to the word is how many of those planes miss it, which
 ``_at_most`` counts for every lane at once.  ``_scan_identity`` checks
 the sphere identity this way in all three spaces, and the binary
 verdicts, profiles and weight counts of ``codes`` and ``search`` read
-F_2^L the same way; the cover build and the multihit search count over
-masks turned into planes by ``_transpose``.
+F_2^L the same way.  The cover build, the multihit search and the
+protocol's record planes count over masks turned into planes by
+``_transpose``.
 
 Enumerations and scans share one rule, ``check_scan``: at most SCAN_CAP =
 2**24 words, one lane each (binary L <= 24, q-ary q**L <= 2**24, Johnson

@@ -16,6 +16,7 @@ from ppric.construct import build_disjoint
 from ppric.covering import fano_plane, serialize_design
 from ppric.errors import FormatError
 from ppric.schemes import JohnsonPpricCode
+from ppric.words import QaryWord, distance
 
 
 def run(capsys, *argv):
@@ -358,6 +359,24 @@ def test_simulate_deterministic(capsys, code_file, tmp_path):
     assert doc["reconstructed"] == [1]  # r=0: only the exact match
     assert doc["seed"] == 0xDEAD
     assert len(doc["queries"]) == 3
+
+
+def test_simulate_qary_symbols_past_chr(capsys, code_file, tmp_path):
+    # symbols at and past 0x110000, where chr() ends, and a query symbol,
+    # 1999999, that no record carries
+    records = ["0,1500000,0,0,0,0", "1114112,1500000,0,0,0,0",
+               "0,1500000,0,0,0,7", "1999999,0,5,5,5,5"]
+    db = tmp_path / "db.txt"
+    db.write_text("\n".join(records) + "\n")
+    rc, doc = jrun(capsys, "simulate", "--db", str(db), "--code", code_file,
+                   "--x", "0,1500000,0,0,0,0", "--q", "2000000", "--seed", "5")
+    assert rc == 0
+    words = [QaryWord.from_string(2_000_000, r) for r in records]
+    for query, answer in zip(doc["queries"], doc["answers"]):
+        z = QaryWord.from_string(2_000_000, query["vector"])
+        assert answer == [m for m, w in enumerate(words, start=1)
+                          if distance(z, w) <= query["radius"]]
+    assert doc["reconstructed"] == [1]  # r=0: only the exact match
 
 
 def test_simulate_johnson(capsys, tmp_path):

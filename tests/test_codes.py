@@ -303,14 +303,14 @@ def test_identical_blocks_share_one_memo_entry(monkeypatch):
     ]
     calls = []
 
-    def counted(masks, L, gamma, budget):
-        calls.append(gamma)
-        return _min_multihit_set(masks, L, gamma, budget)
+    def counted(masks, L, gammas, budget):
+        calls.append(list(gammas))
+        return _min_multihit_set(masks, L, gammas, budget)
 
     monkeypatch.setattr(codes, "_min_multihit_set", counted)
     verdict = verify_exact(code)
-    # one solve per gamma, not one per block
-    assert calls == [1, 2]
+    # one solve for both blocks, with every gamma in it
+    assert calls == [[1, 2]]
     assert verdict.gamma_profile == brute_enumeration(code)[2]
 
 
@@ -330,8 +330,7 @@ def test_split_keeps_extremal_verification_small():
     L = code.params.L
     budget = Budget(1_000)
     with pytest.raises(CapacityError):
-        for gamma in range(1, 11):
-            _min_multihit_set(code.masks(), L, gamma, budget)
+        _min_multihit_set(code.masks(), L, range(1, 11), budget)
 
 
 def _verifier_calls(node, scope=()):

@@ -53,6 +53,10 @@ def test_below():
     assert all(0 <= d < 10 for d in draws)
     assert len(set(draws)) == 10  # 200 draws hit every residue
     assert SplitMix64(3).below(1) == 0
+    assert 0 <= SplitMix64(0).below(2**64) < 2**64
+    # past 2**64 no draw could be uniform: refused, not an endless loop
+    with pytest.raises(ParameterError):
+        SplitMix64(0).below(2**64 + 1)
     with pytest.raises(ParameterError):
         rng.below(0)
 
@@ -155,7 +159,8 @@ def test_neighborhood():
 
 # -- the column scan against the distance oracle ------------------------
 
-SCAN_KINDS = [("binary", 2), ("qary", 3), ("qary", 5), ("johnson", 2)]
+SCAN_KINDS = [("binary", 2), ("qary", 3), ("qary", 5), ("qary", 2_000_000),
+              ("johnson", 2)]
 
 
 def random_word(kind, q, L, n, rnd):
@@ -164,6 +169,20 @@ def random_word(kind, q, L, n, rnd):
     if kind == "qary":
         return QaryWord(q, tuple(rnd.randrange(q) for _ in range(L)))
     return JohnsonWord(n, frozenset(rnd.sample(range(1, n + 1), L)))
+
+
+def assert_scan_matches_oracle(records, x, radius, diam):
+    got = server_answer(Database(tuple(records)), Query(x, radius))
+    assert isinstance(got, int)
+    truth = {m for m, rec in enumerate(records, start=1)
+             if distance(x, rec) <= radius}
+    assert records_of(got) == truth
+    # bit m-1 of the mask is record m
+    assert got == sum(1 << (m - 1) for m in truth)
+    if radius < 0:
+        assert got == 0
+    if radius >= diam:
+        assert got == (1 << len(records)) - 1
 
 
 @pytest.mark.parametrize("size", [1, 7, 8, 9, 300])
@@ -177,21 +196,28 @@ def test_scan_matches_distance_oracle(kind, q, size, L, extra, seed, data):
     x = random_word(kind, q, L, n, rnd)
     records = [random_word(kind, q, L, n, rnd) for _ in range(size)]
     records[rnd.randrange(size)] = x  # one record equals the query
-    db = Database(tuple(records))
     diam = diameter(kind, L, n=n)
     radius = data.draw(st.sampled_from([-1, 0, diam, diam + 2])
                        | st.integers(0, diam), label="radius")
-    got = server_answer(db, Query(x, radius))
-    assert isinstance(got, int)
-    truth = {m for m, rec in enumerate(records, start=1)
-             if distance(x, rec) <= radius}
-    assert records_of(got) == truth
-    # bit m-1 of the mask is record m
-    assert got == sum(1 << (m - 1) for m in truth)
-    if radius < 0:
-        assert got == 0
-    if radius >= diam:
-        assert got == (1 << size) - 1
+    assert_scan_matches_oracle(records, x, radius, diam)
+
+
+@pytest.mark.parametrize("kind,q,n,texts,x", [
+    # symbols at and past 0x110000, beyond chr()
+    ("qary", 2_000_000, 0, ["0,1500000", "1114112,7", "1999999,1500000"],
+     "1114112,1500000"),
+    # query symbols 3 and 4 are carried by no record
+    ("qary", 5, 0, ["0,1,2", "1,1,1", "2,4,0"], "4,3,0"),
+    # elements 7 and 8 are held by no record
+    ("johnson", 2, 8, ["{1,2,3}", "{2,3,4}", "{4,5,6}"], "{1,7,8}"),
+])
+def test_scan_matches_distance_oracle_on_rare_symbols(kind, q, n, texts, x):
+    def parse(*lines):
+        return Database.from_text("\n".join(lines), kind=kind, q=q, n=n)
+    x = parse(x).record(1)
+    diam = diameter(kind, x.length, n=n)
+    for radius in range(-1, diam + 2):
+        assert_scan_matches_oracle(parse(*texts).records, x, radius, diam)
 
 
 def test_scan_rejects_a_query_of_another_shape():
