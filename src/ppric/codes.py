@@ -14,10 +14,10 @@ which turns verification into a family of hitting problems: with
 
 a violator of weight w in {r+1..L} exists iff h(ceil((w-r)/2)) <= w.
 verify_exact solves h by branch and bound, one connected component of
-the code at a time and within a node budget; verify_enumeration re-derives
-the verdict from scratch over all 2^L words, one bit lane each, on the scan
-engine in ``words``, so the two routes stay independent checks of one
-another.
+the code at a time and within a node budget, counting hits on the scan
+engine in ``words``; verify_enumeration re-derives the verdict from
+scratch over all 2^L words, one bit lane each, on that engine, so the
+two routes stay independent checks of one another.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ from .words import (
     _at_most,
     _binary_identity,
     _bit_planes,
+    _count,
     _lightest,
-    _points,
     _subsets,
     _transpose,
+    _within,
     binom,
     check_scan_work,
 )
@@ -137,7 +138,8 @@ def verified(code):
 # components and gammas.  Every non-full catalog recipe at L in {24, 32,
 # 40, 64}, s <= 16, r <= 5 verifies in at most 4,958 (eps8 at s = 16), a
 # 90-word code left in one piece (build_extremal(8, 2) unsplit) in about
-# 50,000, at some 40,000 nodes/s
+# 50,000.  A node costs some 5 to 15 us (2-core VM, Python 3.11), more
+# the deeper it lies
 MULTIHIT_NODE_BUDGET = 100_000
 
 
@@ -168,11 +170,12 @@ def _min_multihit_set(masks: list[int], L: int, gammas,
     Branch and bound over coordinate classes: coordinates with the same
     codeword-membership pattern are interchangeable, so the search only
     decides how many to take from each class; the classes serve every
-    gamma.  Branching: the codeword with the largest remaining deficit,
-    over the classes meeting it (a class passed over is frozen for the
-    whole subtree).  Lower bounds: the largest single deficit, and the
-    total deficit divided by the best per-coordinate yield among usable
-    classes.  Every node of the search counts against ``budget``.
+    gamma.  Branching: the first codeword with the largest remaining
+    deficit, over the classes meeting it (a class passed over is frozen
+    for the whole subtree).  Lower bounds: the largest single deficit, and
+    the total deficit divided by the best per-coordinate yield among
+    usable classes.  A node reads the deficits off its codewords' hits,
+    counted by ``words._count``, and counts against ``budget``.
     """
     columns = _transpose(masks, L)
     groups: dict[int, list[int]] = {}
@@ -182,11 +185,10 @@ def _min_multihit_set(masks: list[int], L: int, gammas,
     keys = sorted(groups)
     coords = [groups[k] for k in keys]
     caps = [len(cs) for cs in coords]
-    # the codewords each class's coordinates lie in
-    held = [_points(k) for k in keys]
     nregions = len(keys)
     take = [0] * nregions
-    hits = [0] * len(masks)
+    picked: list[int] = []  # the key of each coordinate taken
+    full = (1 << len(masks)) - 1
 
     def rec(size: int, frozen: int):
         nonlocal best_size, best_take
@@ -194,22 +196,21 @@ def _min_multihit_set(masks: list[int], L: int, gammas,
         if budget.nodes > budget.limit:
             raise CapacityError(
                 f"multihit node budget {budget.limit} exceeded")
-        worst_def = total_def = defmask = 0
-        worst_i = -1
-        for i in range(len(masks)):
-            d = gamma - hits[i]
-            if d > 0:
-                total_def += d
-                defmask |= 1 << i
-                if d > worst_def:
-                    worst_def, worst_i = d, i
-        if worst_def == 0:
+        digits = _count(picked)  # per codeword, its hits
+        defmask = _within(digits, gamma - 1, full)
+        if not defmask:
             if size < best_size:
                 best_size = size
                 best_take = take[:]
             return
+        least = 0  # the fewest hits; branch on the first codeword with them
+        while not (worst := _within(digits, least, full)):
+            least += 1
+        worst_def, worst_i = gamma - least, (worst & -worst).bit_length() - 1
         if size + worst_def >= best_size:
             return
+        total_def = gamma * defmask.bit_count() - sum(
+            (d & defmask).bit_count() << b for b, d in enumerate(digits))
         best_yield = 0
         for j in range(nregions):
             if take[j] < caps[j] and not frozen >> j & 1:
@@ -231,11 +232,9 @@ def _min_multihit_set(masks: list[int], L: int, gammas,
             if not keys[j] >> worst_i & 1 or f >> j & 1 or take[j] >= caps[j]:
                 continue
             take[j] += 1
-            for i in held[j]:
-                hits[i] += 1
+            picked.append(keys[j])
             rec(size + 1, f)
-            for i in held[j]:
-                hits[i] -= 1
+            picked.pop()
             take[j] -= 1
             f |= 1 << j
             room -= caps[j] - take[j]
@@ -243,11 +242,11 @@ def _min_multihit_set(masks: list[int], L: int, gammas,
                 return
 
     out: dict[int, tuple[int, int] | None] = {}
-    for gamma in gammas:  # rec reads gamma and leaves take and hits at 0
+    for gamma in gammas:  # rec reads gamma and leaves take and picked empty
         if any(m.bit_count() < gamma for m in masks):
             out[gamma] = None
         else:
-            greedy = _greedy_multihit(columns, gamma, (1 << len(masks)) - 1)
+            greedy = _greedy_multihit(columns, gamma, full)
             best_size, best_take = greedy.bit_count(), None
             rec(0, 0)
             out[gamma] = (best_size, greedy if best_take is None else
@@ -376,8 +375,10 @@ def verify_enumeration(code: PpricCode) -> Verdict:
     """
     L, s, r = code.params.L, code.params.s, code.params.r
     one = _bit_planes(L)
+    weights = _count(one)
     # B(0, r) lies in every ball, so the difference has no word that light
-    bad = _lightest(_binary_identity(one, 0, code.masks(), r, s), one, r + 1)
+    bad = _lightest(_binary_identity(one, 0, code.masks(), r, s), weights,
+                    r + 1)
     supports = [[p for c, p in enumerate(one) if m >> c & 1]
                 for m in code.masks()]
     profile: dict[int, int] = {}
@@ -386,7 +387,7 @@ def verify_enumeration(code: PpricCode) -> Verdict:
     for gamma in _gamma_range(L, s, r) if L <= 20 else ():
         for planes in supports:
             hits ^= _at_most(planes, gamma - 1, hits)
-        found = _lightest(hits, one, h)
+        found = _lightest(hits, weights, h)
         if found is None:
             break
         h = profile[gamma] = found[0]

@@ -200,7 +200,7 @@ class JohnsonPpricCode(JsonDoc):
         try:
             n, L, s, r = (integer(data[key], key) for key in "nLsr")
             x, *words = (  # the center, then the codewords
-                JohnsonWord(n, frozenset(
+                JohnsonWord.from_elements(n, (
                     integer(e, "an element of x or of a codeword") for e in v))
                 for v in (data["x"], *data["codewords"])
             )

@@ -29,7 +29,7 @@ from .cover import DEFAULT_NODE_BUDGET, Budget, Cover, check_build
 from .errors import CapacityError, ParameterError
 from .jsondoc import JsonDoc
 from .words import (BinaryWord, SchemeParams, _at_most, _bit_planes,
-                    _subsets, binom)
+                    _count, _subsets, _within, binom)
 
 
 @dataclass(frozen=True)
@@ -159,10 +159,11 @@ def _minimal_intersection_weights(code: PpricCode) -> dict[int, int]:
     minimal = hits
     for c, p in enumerate(one):
         minimal &= ~(((hits & ~p) << (1 << c)) & p)
+    lane_weights = _count(one)
     weights: dict[int, int] = {}
     below = 0  # minimal words lighter than w
     for w in range(L + 1):
-        count = _at_most(one, w, minimal).bit_count()
+        count = _within(lane_weights, w, minimal).bit_count()
         if count > below:
             weights[w], below = count - below, count
     return weights

@@ -20,13 +20,15 @@ This module is also the one whole-space scan engine.  A space is a big
 int with one bit lane per word, in enumeration order: F_2^L with lane
 index = mask, [q]^L in product order, J(n, L) in combination order.  A
 word is a set of features, each with a plane of the lanes carrying it;
-a lane's distance to the word is how many of those planes miss it, which
-``_at_most`` counts for every lane at once.  ``_scan_identity`` checks
-the sphere identity this way in all three spaces, and the binary
-verdicts, profiles and weight counts of ``codes`` and ``search`` read
-F_2^L the same way.  The cover build, the multihit search and the
-protocol's record planes count over masks turned into planes by
-``_transpose``.
+a lane's distance to the word is how many of those planes miss it.  One
+counter, ``_count``, adds planes into binary digits for every lane at
+once; ``_within`` compares the digits with a radius, and ``_at_most``
+does both.  ``_scan_identity`` checks the sphere identity this way in all
+three spaces, and the binary verdicts, profiles and weight counts of
+``codes`` and ``search`` read F_2^L the same way, the weights counted
+once per call.  The cover build, the multihit search (its codewords' hit
+counts) and the protocol's record planes count over masks turned into
+planes by ``_transpose``.
 
 Enumerations and scans share one rule, ``check_scan``: at most SCAN_CAP =
 2**24 words, one lane each (binary L <= 24, q-ary q**L <= 2**24, Johnson
@@ -165,16 +167,25 @@ class JohnsonWord:
             )
 
     @classmethod
+    def from_elements(cls, n: int, elements) -> "JohnsonWord":
+        """The word on a listed sequence of elements; one listed twice is a
+        FormatError, not a shorter word."""
+        elements = list(elements)
+        if len(set(elements)) < len(elements):
+            raise FormatError(f"repeated element in {elements}")
+        return cls(n, frozenset(elements))
+
+    @classmethod
     def from_string(cls, n: int, text: str) -> "JohnsonWord":
         body = text.strip()
         if not (body.startswith("{") and body.endswith("}")):
             raise FormatError(f"not a Johnson word literal: {text!r}")
         inner = body[1:-1].strip()
         try:
-            elems = frozenset(int(p) for p in inner.split(",")) if inner else frozenset()
+            elems = [int(p) for p in inner.split(",")] if inner else []
         except ValueError as exc:
             raise FormatError(f"not a Johnson word literal: {text!r}") from exc
-        return cls(n, elems)
+        return cls.from_elements(n, elems)
 
     def to_string(self) -> str:
         return "{" + ",".join(str(e) for e in sorted(self.elements)) + "}"
@@ -344,15 +355,9 @@ def enumerate_weight_class(L: int, s: int) -> Iterator[BinaryWord]:
 # record i+1), and a word's distance to a lane is counted over its planes
 # ---------------------------------------------------------------------------
 
-def _at_most(planes, radius: int, full: int) -> int:
-    """Lanes of ``full`` set in at most ``radius`` planes (none if < 0).
-
-    A vertical counter (bit-slicing, Biham, FSE 1997): digits[b] holds bit
-    b of every lane's count, and each plane is added with a ripple carry
-    that stops once it dies out.  The comparison with the radius then runs
-    from the top digit down."""
-    if radius < 0:
-        return 0
+def _count(planes) -> list[int]:
+    """A vertical counter (bit-slicing, Biham, FSE 1997): digits[b] holds
+    bit b of each lane's count of ``planes``, added by ripple carries."""
     digits = []
     for carry in planes:
         for b, digit in enumerate(digits):
@@ -363,6 +368,13 @@ def _at_most(planes, radius: int, full: int) -> int:
         else:
             if carry:
                 digits.append(carry)
+    return digits
+
+
+def _within(digits: list[int], radius: int, full: int) -> int:
+    """Lanes of ``full`` whose ``_count`` digits are at most ``radius``."""
+    if radius < 0:
+        return 0
     if radius >> len(digits):
         return full
     below, equal = 0, full
@@ -373,6 +385,11 @@ def _at_most(planes, radius: int, full: int) -> int:
         else:
             equal &= ~digits[b]
     return below | equal
+
+
+def _at_most(planes, radius: int, full: int) -> int:
+    """Lanes of ``full`` set in at most ``radius`` planes (none if < 0)."""
+    return _within(_count(planes), radius, full)
 
 
 # per bit b, a byte to the digit '0' or '1' of its bit b
@@ -430,16 +447,16 @@ def _bit_planes(L: int) -> list[int]:
     return [_qary_plane(2, L, L - 1 - c, 1) for c in range(L)]
 
 
-def _lightest(lanes: int, one: list[int], w: int = 0) -> tuple[int, int] | None:
+def _lightest(lanes: int, weights: list[int],
+              w: int = 0) -> tuple[int, int] | None:
     """(weight, lane) of the lightest of ``lanes`` in F_2^L, ties to the
-    lowest lane, or None (``one = _bit_planes(L)``).  The search starts at
-    weight w, which no lane may undercut."""
-    if lanes:
-        for w in range(w, len(one) + 1):
-            light = _at_most(one, w, lanes)
-            if light:
-                return w, (light & -light).bit_length() - 1
-    return None
+    lowest lane, or None (``weights = _count(_bit_planes(L))``).  The
+    search starts at weight w, which no lane may undercut."""
+    if not lanes:
+        return None
+    while not (light := _within(weights, w, lanes)):
+        w += 1
+    return w, (light & -light).bit_length() - 1
 
 
 def _scan_identity(size: int, center, sphere, r: int, s: int) -> int:

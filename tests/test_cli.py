@@ -153,6 +153,40 @@ def test_malformed_code_document_is_one_stderr_line(capsys, tmp_path, doc):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("doc", [
+    {**JOHNSON, "x": [1, 2, 3, 4, 5, 5]},
+    {**JOHNSON, "codewords": [[2, 3, 4, 5, 6, 2], *JOHNSON["codewords"][1:]]},
+], ids=["x", "codeword"])
+def test_johnson_code_with_a_repeated_element_is_refused(capsys, tmp_path,
+                                                         doc):
+    # without the repeat the document verifies; with it, it is malformed
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "johnson", "--verify", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: format: repeated element in [")
+    assert err.count("\n") == 1
+
+
+def test_repeated_johnson_element_in_an_argument_or_a_record(capsys,
+                                                            tmp_path):
+    # {1,2,3} would be a valid centre at L = 3
+    rc, out, err = run(capsys, "johnson", "--construct", "--n", "8", "--L",
+                       "3", "--s", "1", "--r", "0", "--x", "{1,1,2,3}")
+    assert (rc, out) == (2, "")
+    assert err == "error: format: repeated element in [1, 1, 2, 3]\n"
+    rc, code_doc = jrun(capsys, "johnson", "--construct", "--n", "8",
+                        "--L", "4", "--s", "1", "--r", "0")
+    code = tmp_path / "jcode.json"
+    code.write_text(json.dumps(code_doc))
+    db = tmp_path / "jdb.txt"
+    db.write_text("{1,2,3,4}\n# a comment\n{5,6,6,7,8}\n")
+    rc, out, err = run(capsys, "simulate", "--db", str(db), "--code",
+                       str(code), "--x", "{1,2,3,4}")
+    assert (rc, out) == (2, "")
+    assert err == "error: format: line 3: repeated element in [5, 6, 6, 7, 8]\n"
+
+
 @pytest.mark.parametrize("doc", MISTYPED.values(), ids=MISTYPED)
 def test_loads_refuses_a_field_that_is_not_a_json_integer(doc):
     cls = JohnsonPpricCode if "x" in doc else PpricCode

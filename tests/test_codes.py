@@ -13,6 +13,7 @@ from ppric.codes import (
     PpricCode,
     _components,
     _gamma_range,
+    _greedy_multihit,
     _min_multihit_set,
     full_sphere_identity_holds,
     make_code,
@@ -26,7 +27,8 @@ from ppric.codes import (
 from ppric.construct import build_extremal
 from ppric.cover import Budget
 from ppric.errors import CapacityError, FormatError, ParameterError
-from ppric.words import BinaryWord, SchemeParams, enumerate_ball
+from ppric.words import (BinaryWord, SchemeParams, _points, _subsets,
+                         _transpose, enumerate_ball)
 
 
 def brute_enumeration(code):
@@ -324,13 +326,134 @@ def test_multihit_node_budget():
 def test_split_keeps_extremal_verification_small():
     # the two halves of build_extremal(10, 2) are its components; split,
     # they need 190 nodes, while one search over all 77 codewords needs
-    # 728,967 (21 s)
+    # 728,967
     code = build_extremal(10, 2)
     assert verify_exact(code, node_budget=1_000).is_ppric
     L = code.params.L
     budget = Budget(1_000)
     with pytest.raises(CapacityError):
         _min_multihit_set(code.masks(), L, range(1, 11), budget)
+
+
+def _multihit_oracle(masks, L, gammas, budget):
+    """The multihit tree as it was before it read its hit counts off
+    ``words._count``: a hit count per codeword, kept by hand through the
+    codewords each class lies in, and every codeword rescanned per node."""
+    columns = _transpose(masks, L)
+    groups = {}
+    for c, key in enumerate(columns):
+        if key:
+            groups.setdefault(key, []).append(c)
+    keys = sorted(groups)
+    coords = [groups[k] for k in keys]
+    caps = [len(cs) for cs in coords]
+    held = [_points(k) for k in keys]
+    nregions = len(keys)
+    take = [0] * nregions
+    hits = [0] * len(masks)
+
+    def rec(size, frozen):
+        nonlocal best_size, best_take
+        budget.nodes += 1
+        if budget.nodes > budget.limit:
+            raise CapacityError(
+                f"multihit node budget {budget.limit} exceeded")
+        worst_def = total_def = defmask = 0
+        worst_i = -1
+        for i in range(len(masks)):
+            d = gamma - hits[i]
+            if d > 0:
+                total_def += d
+                defmask |= 1 << i
+                if d > worst_def:
+                    worst_def, worst_i = d, i
+        if worst_def == 0:
+            if size < best_size:
+                best_size = size
+                best_take = take[:]
+            return
+        if size + worst_def >= best_size:
+            return
+        best_yield = 0
+        for j in range(nregions):
+            if take[j] < caps[j] and not frozen >> j & 1:
+                y = (keys[j] & defmask).bit_count()
+                if y > best_yield:
+                    best_yield = y
+        if best_yield == 0:
+            return
+        if size - (-total_def // best_yield) >= best_size:
+            return
+        f = frozen
+        room = 0
+        for j in range(nregions):
+            if keys[j] >> worst_i & 1 and not f >> j & 1:
+                room += caps[j] - take[j]
+        if room < worst_def:
+            return
+        for j in range(nregions):
+            if not keys[j] >> worst_i & 1 or f >> j & 1 or take[j] >= caps[j]:
+                continue
+            take[j] += 1
+            for i in held[j]:
+                hits[i] += 1
+            rec(size + 1, f)
+            for i in held[j]:
+                hits[i] -= 1
+            take[j] -= 1
+            f |= 1 << j
+            room -= caps[j] - take[j]
+            if room < worst_def:
+                return
+
+    out = {}
+    for gamma in gammas:
+        if any(m.bit_count() < gamma for m in masks):
+            out[gamma] = None
+        else:
+            greedy = _greedy_multihit(columns, gamma, (1 << len(masks)) - 1)
+            best_size, best_take = greedy.bit_count(), None
+            rec(0, 0)
+            out[gamma] = (best_size, greedy if best_take is None else
+                          sum(1 << c for cs, tk in zip(coords, best_take)
+                              for c in cs[:tk]))
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_multihit_matches_the_per_codeword_oracle(data):
+    # same h, witness and node count as the hand-kept hit counts, for
+    # constant and mixed weights; with one node fewer both run out
+    L = data.draw(st.integers(1, 12))
+    weight = st.integers(1, L)
+    if data.draw(st.booleans()):
+        weight = st.just(data.draw(weight))
+    masks = data.draw(st.lists(
+        weight.flatmap(lambda w: st.sampled_from(
+            list(_subsets((1 << L) - 1, w)))), min_size=1, max_size=8))
+    top = data.draw(st.integers(0, 6))
+    gammas = range(data.draw(st.integers(0, 1)), top + 1)
+    want = Budget(50_000)
+    expected = _multihit_oracle(masks, L, gammas, want)
+    got = Budget(want.nodes)
+    assert _min_multihit_set(masks, L, gammas, got) == expected
+    assert got.nodes == want.nodes
+    if want.nodes:
+        with pytest.raises(CapacityError):
+            _min_multihit_set(masks, L, gammas, Budget(want.nodes - 1))
+
+
+def test_multihit_runs_out_at_the_oracles_node():
+    # build_extremal(10, 2) in one piece, every gamma: both searches pass
+    # node 1,000 and raise there
+    code = build_extremal(10, 2)
+    L = code.params.L
+    for solve in (_multihit_oracle, _min_multihit_set):
+        budget = Budget(1_000)
+        with pytest.raises(CapacityError, match="node budget 1000"):
+            solve(code.masks(), L, range(1, 11), budget)
+        assert budget.nodes == 1_001
 
 
 def _verifier_calls(node, scope=()):

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ppric.errors import CapacityError, FormatError, ParameterError
 from ppric.words import (
@@ -12,9 +12,12 @@ from ppric.words import (
     QaryWord,
     SchemeParams,
     _binary_identity,
+    _at_most,
     _bit_planes,
+    _count,
     _lightest,
     _subsets,
+    _within,
     ball_size,
     binom,
     diameter,
@@ -72,6 +75,10 @@ def test_johnson_word_roundtrip():
         JohnsonWord(8, frozenset({0, 1, 2}))  # elements are 1-based
     with pytest.raises(ParameterError):
         JohnsonWord(6, frozenset({1, 2, 3, 4}))  # needs 2L <= n
+    # an element listed twice is a malformed literal, not a shorter word
+    for text in ("{1,1,2,3}", "{3, 2, 3}", "{4,4}"):
+        with pytest.raises(FormatError, match="repeated element"):
+            JohnsonWord.from_string(8, text)
 
 
 def test_distances():
@@ -190,12 +197,31 @@ def test_bit_lanes_index_words_by_mask():
         _bit_planes(25)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=20),
+       st.integers(0, (1 << 12) - 1), st.integers(-3, 40))
+def test_count_and_within_match_per_lane_counts(planes, full, radius):
+    # digit b of _count holds bit b of each lane's count; _within keeps
+    # the lanes of full counted at most radius times, none for radius < 0
+    # and all of full once radius reaches 2**len(digits)
+    digits = _count(planes)
+    counts = [sum(p >> lane & 1 for p in planes) for lane in range(12)]
+    assert digits == [] or digits[-1]
+    for lane, n in enumerate(counts):
+        assert sum((d >> lane & 1) << b for b, d in enumerate(digits)) == n
+    for rad in (radius, -1, 1 << len(digits), (1 << len(digits)) - 1):
+        want = sum(1 << lane for lane, n in enumerate(counts)
+                   if n <= rad and full >> lane & 1)
+        assert _within(digits, rad, full) == want, rad
+        assert _at_most(iter(planes), rad, full) == want
+
+
 def test_lightest_lane():
     # the lightest word of a lane set, ties to the smallest mask, also
     # when the search starts at a weight w no lane is lighter than
     L = 7
-    one = _bit_planes(L)
-    assert _lightest(0, one) is None
+    weights = _count(_bit_planes(L))
+    assert _lightest(0, weights) is None
     rng = random.Random(3)
     for _ in range(50):
         w = rng.randint(0, 3)
@@ -203,7 +229,7 @@ def test_lightest_lane():
                  if y.bit_count() >= w and rng.random() < 0.2]
         lanes = sum(1 << y for y in words)
         want = min(words, key=lambda y: (y.bit_count(), y), default=None)
-        assert _lightest(lanes, one, w) == (
+        assert _lightest(lanes, weights, w) == (
             None if want is None else (want.bit_count(), want))
 
 
