@@ -39,7 +39,7 @@ from .schemes import (
     verify_johnson_covering,
 )
 from .search import DEFAULT_NODE_BUDGET, exact_n_search
-from .words import BinaryWord, JohnsonWord, QaryWord
+from .words import MAX_LENGTH, BinaryWord, JohnsonWord, QaryWord
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,7 +178,11 @@ def cmd_sweep(args) -> int:
                 report = bounds.compute_report(L, s, r)
                 lo, up, ex = report.best_lower, report.best_upper, report.exact
                 sv = None
-                if not args.no_search:
+                if L > MAX_LENGTH and not args.no_search:
+                    # the bounds reach past MAX_LENGTH; a search word cannot
+                    notes.append(f"search parameter: L must be in "
+                                 f"1..{MAX_LENGTH}, got {L}")
+                elif not args.no_search:
                     try:
                         sv = exact_n_search(
                             L, s, r, node_budget=args.node_budget

@@ -34,28 +34,29 @@ copies of one subtree.  Each caller declares ``cells``, disjoint parts of
 the ground set whose points its instance lets be permuted freely: the
 candidates and every segment's elements are closed under those
 permutations once candidate 0 is fixed.  Each node refines the cells by
-the set of every candidate chosen (candidate 0 included), of every
-branch element on its path and of its own branch element; the Young
-subgroup of that partition fixes the whole position, bans included.  Two
-usable handlers lie in one orbit of it when they meet every cell in as
-many points.  Only the lowest-index member of each orbit is tried, in
+the set of every candidate chosen (candidate 0 included), of every branch
+element on its path and of its own branch element; the Young subgroup of
+that partition fixes the whole position, bans included.  Two usable
+handlers lie in one orbit of it when they hold the same points off the
+cells and as many in each cell, so ``_refine`` splits them into orbits by
+the candidate planes of those points and the ``_count`` digits of each
+cell's planes.  Only the lowest-index member of each orbit is tried, in
 index order; once its child returns, the whole orbit is banned for later
 siblings, since any cover through another member maps onto one through
 the member tried.  Inside the child only the tried member is banned, so
 every ban stays invariant under the smaller group below it.  The
 deepening thus visits each completion up to symmetry at least once and
 stops at the first cover in branch order; ``collect`` treats every
-handler as its own orbit, so it still visits every completion exactly
-once.
+handler as its own orbit, so it visits every completion exactly once.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
+from functools import reduce
+from operator import and_, or_
 
 from .errors import CapacityError, ParameterError
-from .words import _at_most, _points, _transpose
+from .words import _at_most, _count, _points, _transpose
 
 DEFAULT_NODE_BUDGET = 5_000_000
 # a build's cost: its (candidate, element) pairs plus 512 per row, as
@@ -85,19 +86,23 @@ class Budget:
 
 
 def _refine(cells: list[int], part: int) -> list[int]:
-    """The cells split by ``part``, keeping only pieces of two points or more
-    (a single point is fixed by every permutation of its cell)."""
+    """The cells, or orbits, split by ``part``, keeping only pieces of two or
+    more (a lone point is fixed by its cell, a lone handler its own orbit)."""
     out = []
     for cell in cells:
-        for piece in (cell & part, cell & ~part):
-            if piece & (piece - 1):
-                out.append(piece)
+        inside = cell & part
+        if inside & (inside - 1):
+            out.append(inside)
+        inside ^= cell
+        if inside & (inside - 1):
+            out.append(inside)
     return out
 
 
 class Cover:
     """Bitset instance: a cover mask per candidate, built at once, and a
-    handler mask per element, ``handlers(j)``, counted on first read.
+    handler mask per element, ``handlers(j)``, counted on first read over
+    ``members`` (a plane of candidates per point), which split orbits too.
 
     ``candidates`` are ground-set masks.  Each segment is a pair
     ``(element_masks, bound)``; elements are indexed in segment order, and
@@ -109,30 +114,14 @@ class Cover:
 
     def __init__(self, candidates: list[int],
                  segments: list[tuple[list[int], int]], cells: list[int]):
-        if sum(map(int.bit_count, cells)) != functools.reduce(
-                operator.or_, cells, 0).bit_count():
+        if sum(map(int.bit_count, cells)) != reduce(or_, cells, 0).bit_count():
             raise ParameterError("symmetry cells must be disjoint")
         self.sets = candidates
         self.elements = [e for masks, _ in segments for e in masks]
         # the declared cells of two points or more
         self.cells = _refine(cells, 0)
-        # orbit keys, a field per candidate: its points off the moving
-        # cells in the low ``width`` bits, then one count per moving cell
-        # (at most half the points); lanes[g] adds 1 to that count for each
-        # candidate holding point g, and members[g] is the mask of those
-        # candidates
-        self.ground = functools.reduce(operator.or_, candidates)
-        points = self.ground | functools.reduce(operator.or_, cells, 0)
-        self.width = points.bit_length()
-        self.digit = max(map(int.bit_count, candidates)).bit_length()
-        self.field = (self.width + self.digit * (points.bit_count() // 2)
-                      + 7) // 8 or 1
-        self.spread = int.from_bytes(
-            (b"\x01" + bytes(self.field - 1)) * len(candidates), "little")
-        self.keyed = int.from_bytes(b"".join(
-            m.to_bytes(self.field, "little") for m in candidates), "little")
-        self.lanes = [self.keyed >> g & self.spread
-                      for g in range(self.width if self.cells else 0)]
+        self.ground = reduce(or_, candidates)
+        self.width = reduce(or_, cells, self.ground).bit_length()
         self.members = _transpose(candidates, self.width)
         self.cover = [0] * len(candidates)
         # (offset, width mask, largest per-candidate count) per segment,
@@ -195,41 +184,32 @@ class Cover:
 
     def _orbits(self, handlers: int, cells: list[int]) -> dict[int, int]:
         """Lowest member -> orbit mask, for each orbit of two or more
-        ``handlers`` under the Young subgroup of ``cells``: the same points
-        off the cells and equal popcount in each.  A handler that meets
-        every cell in none or all of its points is alone in its orbit."""
-        lanes, members = self.lanes, self.members
-        moving = loose = counts = 0
-        shift = self.width
+        ``handlers`` under the Young subgroup of ``cells``: the loose ones
+        (meeting a cell in some but not all its points) split by their points
+        off the cells and their ``_count`` in each; the rest are alone."""
+        members = self.members
+        moving = loose = 0
+        planes = []
         for cell in cells:
             moving |= cell
-            some, every, count = 0, -1, 0
-            c = cell
-            while c:
-                low = c & -c
-                c ^= low
-                g = low.bit_length() - 1
-                some |= members[g]
-                every &= members[g]
-                count += lanes[g]
-            loose |= some & ~every
-            counts += count << shift
-            shift += self.digit
+            column = []
+            while cell:
+                low = cell & -cell
+                cell ^= low
+                column.append(members[low.bit_length() - 1])
+            loose |= reduce(or_, column) & ~reduce(and_, column)
+            planes += _count(column)
         loose &= handlers
         if not loose & (loose - 1):
             return {}
-        field = self.field
-        key = ((self.keyed & (self.ground & ~moving) * self.spread) + counts
-               ).to_bytes(field * len(self.sets), "little")
-        orbits: dict[bytes, int] = {}
-        while loose:
-            low = loose & -loose
-            loose ^= low
-            at = (low.bit_length() - 1) * field
-            k = key[at:at + field]
-            orbits[k] = orbits.get(k, 0) | low
-        return {orbit & -orbit: orbit for orbit in orbits.values()
-                if orbit & (orbit - 1)}
+        planes += [p for g, p in enumerate(members) if not moving >> g & 1]
+        parts = [loose]
+        for plane in planes:
+            # a plane holding all or none of loose splits nothing
+            plane &= loose
+            if plane and plane != loose:
+                parts = _refine(parts, plane)
+        return {part & -part: part for part in parts}
 
     def _branch(self, chosen: list[int], unhandled: int, alive: int,
                 handlers: int, cells: list[int], slots: int, budget: Budget,
@@ -247,8 +227,7 @@ class Cover:
         appended to it instead and None is returned.
         """
         cover = self.cover
-        orbits = (self._orbits(handlers, cells)
-                  if cells and handlers & (handlers - 1) else None)
+        orbits = cells and self._orbits(handlers, cells)
         slots -= 1
         while handlers:
             low = handlers & -handlers

@@ -26,9 +26,10 @@ once; ``_within`` compares the digits with a radius, and ``_at_most``
 does both.  ``_scan_identity`` checks the sphere identity this way in all
 three spaces, and the binary verdicts, profiles and weight counts of
 ``codes`` and ``search`` read F_2^L the same way, the weights counted
-once per call.  The cover build, the multihit search (its codewords' hit
-counts) and the protocol's record planes count over masks turned into
-planes by ``_transpose``.
+once per call.  The cover build, the cover's orbit split (each cell's
+count), the multihit search (its codewords' hit counts) and the
+protocol's record planes count over masks turned into planes by
+``_transpose``.
 
 Enumerations and scans share one rule, ``check_scan``: at most SCAN_CAP =
 2**24 words, one lane each (binary L <= 24, q-ary q**L <= 2**24, Johnson

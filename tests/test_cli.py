@@ -380,6 +380,20 @@ def test_sweep_no_search_big_point(capsys):
     assert rows[0]["search"] == ""
 
 
+def test_sweep_past_max_length_notes_the_refused_search(capsys):
+    # the bounds reach L = 257 but a search word cannot: the row is kept,
+    # with the search cell empty and a note, as for a capacity refusal
+    rc, out, err = run(capsys, "sweep", "--L", "255..257", "--s", "3",
+                       "--r", "1", "--node-budget", "10")
+    assert rc == 0 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["L"] for row in rows] == ["255", "256", "257"]
+    assert [row["search"] for row in rows] == ["4", "4", ""]
+    assert [row["exact"] for row in rows] == ["4", "4", "4"]
+    assert [row["note"] for row in rows] == [
+        "", "", "search parameter: L must be in 1..256, got 257"]
+
+
 def test_simulate_deterministic(capsys, code_file, tmp_path):
     db = tmp_path / "db.txt"
     db.write_text("110000\n000011\n101010\n000000\n")

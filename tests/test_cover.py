@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ppric.codes import _gamma_range
-from ppric.cover import BUILD_CAP, Budget, Cover, check_build
-from ppric.covering import _covering_cover
+from ppric.cover import BUILD_CAP, Budget, Cover, _refine, check_build
+from ppric.covering import _covering_cover, schoenheim_bound
 from ppric.errors import CapacityError, ParameterError
 from ppric.schemes import _johnson_cover
 from ppric.search import _Space
@@ -98,6 +98,77 @@ def test_build_counts_no_handler_row():
 def test_cells_must_be_disjoint():
     with pytest.raises(ParameterError, match="disjoint"):
         Cover([0b011], [([0b001], 1)], [0b011, 0b110])
+
+
+def _orbits_oracle(candidates, handlers, cells):
+    """Lowest member -> orbit, for the orbits of two or more handlers: the
+    handlers grouped by their points off the cells and their popcount in
+    each cell (with distinct candidates, a handler meeting every cell in
+    none or all of its points is alone in its group)."""
+    moving = sum(cells)
+    groups = {}
+    for i, mask in enumerate(candidates):
+        if handlers >> i & 1:
+            key = (mask & ~moving,
+                   tuple((mask & c).bit_count() for c in cells))
+            groups[key] = groups.get(key, 0) | 1 << i
+    return {g & -g: g for g in groups.values() if g & (g - 1)}
+
+
+@st.composite
+def _orbit_cases(draw):
+    width = draw(st.integers(2, 12))
+    candidates = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1,
+                               max_size=40, unique=True))
+    # each point off the cells (label 0) or in one of up to four cells
+    labels = draw(st.lists(st.integers(0, 4), min_size=width,
+                           max_size=width))
+    declared = [sum(1 << g for g, label in enumerate(labels) if label == k)
+                for k in range(1, 5)]
+    cells = _refine([c for c in declared if c], 0)
+    for part in draw(st.lists(st.integers(0, (1 << width) - 1), max_size=2)):
+        cells = _refine(cells, part)
+    handlers = draw(st.integers(0, (1 << len(candidates)) - 1))
+    return candidates, declared, cells, handlers
+
+
+@settings(deadline=None, max_examples=300)
+@given(_orbit_cases())
+# every candidate meets each of two cells in one point, and the off-cell
+# point 4 splits them into two orbits of three
+@example(([0b00101, 0b01010, 0b10110, 0b00110, 0b11001, 0b10101],
+          [0b0011, 0b1100], [0b0011, 0b1100], 0b111111))
+def test_orbits_match_the_grouping_oracle(case):
+    candidates, declared, cells, handlers = case
+    inst = Cover(candidates, [], [c for c in declared if c])
+    assert inst._orbits(handlers, cells) == _orbits_oracle(
+        candidates, handlers, cells)
+
+
+# node counts of trees where orbital branching prunes; without the orbits
+# they are 304,686, 266,175, 600,954, 361,091 and 56,271
+PRUNED_TREES = {
+    "search 9,3,1 at 6": (lambda: _Space(9, 3, 1),
+                          lambda inst, b: inst._deepen(6, 6, b), 6_171, None),
+    "search 10,3,1 at 5": (lambda: _Space(10, 3, 1),
+                           lambda inst, b: inst._deepen(5, 5, b), 1_092, None),
+    "covering 9,4,2": (lambda: _covering_cover(9, 4, 2),
+                       lambda inst, b: inst.solve(schoenheim_bound(9, 4, 2),
+                                                  126, b), 16_697, 8),
+    "johnson 16,8,1,2": (lambda: _johnson_cover(16, 8, 1, 2),
+                         lambda inst, b: inst.solve(1, 6, b), 829, None),
+    "johnson 14,7,1,2": (lambda: _johnson_cover(14, 7, 1, 2),
+                         lambda inst, b: inst.solve(1, 6, b), 786, None),
+}
+
+
+@pytest.mark.parametrize("name", PRUNED_TREES)
+def test_pruned_tree_node_counts(name):
+    build, run, nodes, size = PRUNED_TREES[name]
+    budget = Budget()
+    hit = run(build(), budget)
+    assert budget.nodes == nodes
+    assert (None if hit is None else len(hit)) == size
 
 
 def _closed(masks, cells):
