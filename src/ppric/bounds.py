@@ -54,6 +54,8 @@ def _covering_probe(n: int, k: int, t: int) -> int | None:
     A bound is optional, a stall is not.  The search is deterministic, so
     every answer, a miss included, is kept for the life of the process.
     """
+    if t == 1 and n <= covering.EXACT_N_CAP:  # c(n, k, 1) = ceil(n / k)
+        return ceil_div(n, k)
     try:
         return covering.exact_covering_number(n, k, t, node_budget=50_000)
     except CapacityError:

@@ -138,8 +138,8 @@ def verified(code):
 # components and gammas.  Every non-full catalog recipe at L in {24, 32,
 # 40, 64}, s <= 16, r <= 5 verifies in at most 4,958 (eps8 at s = 16), a
 # 90-word code left in one piece (build_extremal(8, 2) unsplit) in about
-# 50,000.  A node costs some 5 to 15 us (2-core VM, Python 3.11), more
-# the deeper it lies
+# 50,000.  A node adds one key to its parent's hit count, so it costs
+# some 4 to 10 us (2-core VM, Python 3.11) at any depth
 MULTIHIT_NODE_BUDGET = 100_000
 
 
@@ -152,12 +152,12 @@ def _greedy_multihit(columns: list[int], gamma: int, full: int) -> int:
     ``left``; another gains while a support is deficient, as each support
     holds gamma points.
     """
-    chosen, picked, left = 0, [], list(columns)
-    while deficient := _at_most(picked, gamma - 1, full):
+    chosen, digits, left = 0, [], list(columns)
+    while deficient := _within(digits, gamma - 1, full):
         gains = [(col & deficient).bit_count() for col in left]
         c = gains.index(max(gains))
         chosen |= 1 << c
-        picked.append(left[c])
+        digits = _count([left[c]], digits)  # per codeword, its hits
         left[c] = 0
     return chosen
 
@@ -175,7 +175,7 @@ def _min_multihit_set(masks: list[int], L: int, gammas,
     for the whole subtree).  Lower bounds: the largest single deficit, and
     the total deficit divided by the best per-coordinate yield among
     usable classes.  A node reads the deficits off its codewords' hits,
-    counted by ``words._count``, and counts against ``budget``.
+    its parent's plus one key by ``words._count``; ``budget`` counts it.
     """
     columns = _transpose(masks, L)
     groups: dict[int, list[int]] = {}
@@ -187,16 +187,14 @@ def _min_multihit_set(masks: list[int], L: int, gammas,
     caps = [len(cs) for cs in coords]
     nregions = len(keys)
     take = [0] * nregions
-    picked: list[int] = []  # the key of each coordinate taken
     full = (1 << len(masks)) - 1
 
-    def rec(size: int, frozen: int):
+    def rec(size: int, frozen: int, digits: list[int]):
         nonlocal best_size, best_take
         budget.nodes += 1
         if budget.nodes > budget.limit:
             raise CapacityError(
                 f"multihit node budget {budget.limit} exceeded")
-        digits = _count(picked)  # per codeword, its hits
         defmask = _within(digits, gamma - 1, full)
         if not defmask:
             if size < best_size:
@@ -232,9 +230,7 @@ def _min_multihit_set(masks: list[int], L: int, gammas,
             if not keys[j] >> worst_i & 1 or f >> j & 1 or take[j] >= caps[j]:
                 continue
             take[j] += 1
-            picked.append(keys[j])
-            rec(size + 1, f)
-            picked.pop()
+            rec(size + 1, f, _count([keys[j]], digits))
             take[j] -= 1
             f |= 1 << j
             room -= caps[j] - take[j]
@@ -242,13 +238,13 @@ def _min_multihit_set(masks: list[int], L: int, gammas,
                 return
 
     out: dict[int, tuple[int, int] | None] = {}
-    for gamma in gammas:  # rec reads gamma and leaves take and picked empty
+    for gamma in gammas:  # rec reads gamma and leaves take empty
         if any(m.bit_count() < gamma for m in masks):
             out[gamma] = None
         else:
             greedy = _greedy_multihit(columns, gamma, full)
             best_size, best_take = greedy.bit_count(), None
-            rec(0, 0)
+            rec(0, 0, [])  # digits[b]: bit b of each codeword's hits
             out[gamma] = (best_size, greedy if best_take is None else
                           sum(1 << c for cs, tk in zip(coords, best_take)
                               for c in cs[:tk]))

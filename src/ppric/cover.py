@@ -6,12 +6,12 @@ c(n, k, t) (``covering``) and the Johnson-scheme 2r+3 check
 (``schemes``).  Each caller states only its instance, a ``Cover`` of
 ground-set masks in which a candidate covers an element when their
 overlap is below a bound; this module builds its bitsets and searches it.
-``words._at_most`` counts every overlap over transposed masks: the build
-fills the cover rows, and a handler row is counted when the tree first
-reads it (it reads few).  ``check_build`` is the one size rule: the
-search and the Johnson check pass it their instance, counted in closed
-form, before building it (the covering numbers, n <= EXACT_N_CAP, stay
-far below it).
+``words._count`` counts every overlap over transposed masks: the build
+counts each row on from the row before's count of their shared points,
+and a handler row when the tree first reads it (it reads few).
+``check_build`` is the one size rule: the search and the Johnson check
+pass it their instance, counted in closed form, before building it (the
+covering numbers, n <= EXACT_N_CAP, stay far below it).
 
 Candidate 0 is pinned: every cover searched contains it, which each
 caller justifies by symmetry.  ``solve`` brackets the minimum first: a
@@ -56,7 +56,7 @@ from functools import reduce
 from operator import and_, or_
 
 from .errors import CapacityError, ParameterError
-from .words import _at_most, _count, _points, _transpose
+from .words import _at_most, _count, _points, _transpose, _within
 
 DEFAULT_NODE_BUDGET = 5_000_000
 # a build's cost: its (candidate, element) pairs plus 512 per row, as
@@ -103,6 +103,9 @@ class Cover:
     """Bitset instance: a cover mask per candidate, built at once, and a
     handler mask per element, ``handlers(j)``, counted on first read over
     ``members`` (a plane of candidates per point), which split orbits too.
+    A cover mask is one ``_within`` of a count over every segment's
+    elements: the previous candidate's count of the lowest points the two
+    share, plus a plane per point past them.
 
     ``candidates`` are ground-set masks.  Each segment is a pair
     ``(element_masks, bound)``; elements are indexed in segment order, and
@@ -123,22 +126,35 @@ class Cover:
         self.ground = reduce(or_, candidates)
         self.width = reduce(or_, cells, self.ground).bit_length()
         self.members = _transpose(candidates, self.width)
-        self.cover = [0] * len(candidates)
-        # (offset, width mask, largest per-candidate count) per segment,
-        # and (offset, bound) per segment for the handler rows
-        self.segments, self.bounds = [], []
-        offset = 0
+        self.bounds, spans, offset = [], [], 0
         for masks, bound in segments:
-            # a row: the elements that its points' planes add up below bound
-            planes = _transpose(masks, self.width)
-            seg = (1 << len(masks)) - 1
-            rows = [_at_most([planes[g] for g in _points(c)], bound - 1, seg)
-                    for c in candidates]
-            self.cover = [m | row << offset for m, row in zip(self.cover, rows)]
-            self.segments.append((offset, seg, max(map(int.bit_count, rows))))
             self.bounds.append((offset, bound))
+            spans.append((offset, (1 << len(masks)) - 1))
             offset += len(masks)
-        self.full = (1 << offset) - 1
+        self.full = full = (1 << offset) - 1
+        # one lane per element, each starting at top - (bound - 1): a
+        # candidate covers the lanes its points' planes take to at most top
+        top = max((bound for _, bound in segments), default=0) - 1
+        lift = [top + 1 - bound for _, bound in segments]
+        path = [[sum(seg << off for (off, seg), up in zip(spans, lift)
+                     if up >> b & 1)
+                 for b in range(max(lift, default=0).bit_length())]]
+        planes = _transpose(self.elements or [0], self.width)
+        # path[k]: the count of the k lowest points of the last candidate
+        self.cover, last = [], 0
+        for c in candidates:
+            if fork := c ^ last:
+                fork &= -fork
+                del path[(c & fork - 1).bit_count() + 1:]
+                for g in range(fork.bit_length() - 1, c.bit_length()):
+                    if c >> g & 1:
+                        path.append(_count([planes[g]], path[-1]))
+            self.cover.append(_within(path[-1], top, full))
+            last = c
+        # (offset, width mask, largest per-candidate count) per segment
+        self.segments = [(off, seg, max((row >> off & seg).bit_count()
+                                        for row in self.cover))
+                         for off, seg in spans]
         self.full_pool = (1 << len(candidates)) - 1
         # the handler rows, counted by ``handlers`` when first read
         self.handler = [None] * offset

@@ -22,14 +22,15 @@ index = mask, [q]^L in product order, J(n, L) in combination order.  A
 word is a set of features, each with a plane of the lanes carrying it;
 a lane's distance to the word is how many of those planes miss it.  One
 counter, ``_count``, adds planes into binary digits for every lane at
-once; ``_within`` compares the digits with a radius, and ``_at_most``
-does both.  ``_scan_identity`` checks the sphere identity this way in all
-three spaces, and the binary verdicts, profiles and weight counts of
-``codes`` and ``search`` read F_2^L the same way, the weights counted
-once per call.  The cover build, the cover's orbit split (each cell's
-count), the multihit search (its codewords' hit counts) and the
-protocol's record planes count over masks turned into planes by
-``_transpose``.
+once, from zero or on from a given count; ``_within`` compares the
+digits with a radius, and ``_at_most`` does both.  ``_scan_identity``
+checks the sphere identity this way in all three spaces, and the binary
+verdicts, profiles and weight counts of ``codes`` and ``search`` read
+F_2^L the same way, the weights counted once per call.  The cover build
+(each row's count on from the row before's), the cover's orbit split
+(each cell's count), the multihit search (each node's hits on from its
+parent's) and the protocol's record planes count over masks turned into
+planes by ``_transpose``.
 
 Enumerations and scans share one rule, ``check_scan``: at most SCAN_CAP =
 2**24 words, one lane each (binary L <= 24, q-ary q**L <= 2**24, Johnson
@@ -356,10 +357,10 @@ def enumerate_weight_class(L: int, s: int) -> Iterator[BinaryWord]:
 # record i+1), and a word's distance to a lane is counted over its planes
 # ---------------------------------------------------------------------------
 
-def _count(planes) -> list[int]:
-    """A vertical counter (bit-slicing, Biham, FSE 1997): digits[b] holds
-    bit b of each lane's count of ``planes``, added by ripple carries."""
-    digits = []
+def _count(planes, digits=()) -> list[int]:
+    """A vertical counter (bit-slicing, Biham, FSE 1997): a new list whose
+    digits[b] holds bit b of each lane's count, ``digits`` plus ``planes``."""
+    digits = list(digits)
     for carry in planes:
         for b, digit in enumerate(digits):
             digits[b] = digit ^ carry

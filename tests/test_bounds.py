@@ -168,9 +168,15 @@ def test_chain_probe_misses_pinned(monkeypatch):
     # every covering number within the exact search's n <= EXACT_N_CAP
     # that the chain probes for L <= 40 and r <= 5, and which of them its
     # 50k-node budget misses; a slower covering search shows up here as a
-    # longer list
+    # longer list.  The probes at t = 1 take the closed form, not the search
     real = covering.exact_covering_number
     seen = {}
+    asked = set()
+    inner = bounds._covering_probe
+
+    def asking(n, k, t):
+        asked.add((n, k, t))
+        return inner(n, k, t)
 
     def probe(n, k, t, node_budget):
         if (n, k, t) not in seen:
@@ -183,6 +189,7 @@ def test_chain_probe_misses_pinned(monkeypatch):
         return seen[n, k, t]
 
     monkeypatch.setattr(covering, "exact_covering_number", probe)
+    monkeypatch.setattr(bounds, "_covering_probe", asking)
     for L in range(1, 41):
         for r in range(0, 6):
             for s in range(1, (L - r - 1) // 2 + 1):
@@ -192,12 +199,24 @@ def test_chain_probe_misses_pinned(monkeypatch):
                if key[0] > covering.EXACT_N_CAP)
     seen = {key: value for key, value in seen.items()
             if key[0] <= covering.EXACT_N_CAP}
-    assert len(seen) == 82
+    asked = {key for key in asked if key[0] <= covering.EXACT_N_CAP}
+    assert len(asked) == 82
+    assert set(seen) == {key for key in asked if key[2] > 1}
     assert sorted(key for key, value in seen.items() if value is None) == [
         (9, 6, 4), (10, 6, 3), (10, 7, 4), (10, 7, 5),
     ]
     # settled within the budget, at the La Jolla Covering Repository values
     assert seen[9, 6, 3] == 7 and seen[10, 7, 3] == 6
+
+
+def test_probe_takes_the_closed_form_at_t1():
+    # c(n, k, 1) = ceil(n / k), the exact search's value wherever it runs;
+    # past the search's cap the probe still has no value
+    for n in range(1, covering.EXACT_N_CAP + 1):
+        for k in range(1, n + 1):
+            assert (bounds._covering_probe(n, k, 1) == -(-n // k)
+                    == covering.exact_covering_number(n, k, 1))
+    assert bounds._covering_probe(covering.EXACT_N_CAP + 1, 3, 1) is None
 
 
 def test_chain_probes_are_paid_once(monkeypatch):

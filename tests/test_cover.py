@@ -9,7 +9,7 @@ from ppric.covering import _covering_cover, schoenheim_bound
 from ppric.errors import CapacityError, ParameterError
 from ppric.schemes import _johnson_cover
 from ppric.search import _Space
-from ppric.words import MAX_LENGTH, SCAN_CAP, johnson_sphere_size
+from ppric.words import MAX_LENGTH, SCAN_CAP, _subsets, johnson_sphere_size
 
 
 def _below(rows, cols, bound, lane=1):
@@ -57,6 +57,52 @@ def test_tables_match_the_byte_lane_oracle(candidates, segments):
         offset += len(masks)
     assert inst.cover == rows
     assert [inst.handlers(j) for j in range(offset)] == handlers
+
+
+@st.composite
+def _instances(draw):
+    """Candidates over a few points, in combinations order or not, then
+    shuffled (the identity shuffle included); 0 to 3 segments of mixed
+    bounds, their elements reaching two points past the candidates'."""
+    width = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        candidates = list(_subsets((1 << width) - 1,
+                                   draw(st.integers(0, width))))
+    else:
+        candidates = draw(st.lists(st.integers(0, (1 << width) - 1),
+                                   min_size=1, max_size=30))
+    candidates = draw(st.permutations(candidates))
+    elements = st.lists(st.integers(0, (1 << width + 2) - 1), min_size=1,
+                        max_size=20)
+    segments = draw(st.lists(st.tuples(elements, st.integers(0, width + 1)),
+                             max_size=3))
+    return candidates, segments
+
+
+@settings(deadline=None, max_examples=200)
+@given(_instances())
+@example(([0b0111, 0b1011, 0b1101, 0b1110], []))
+@example(([0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100],
+          [([0b0001, 0b0110, 0b1111], 1), ([0b0011, 0b11100], 3)]))
+def test_tables_match_the_direct_oracle(case):
+    # row c bit offset + j: popcount(c & e_j) < bound; per segment its
+    # (offset, width mask, largest row count) and (offset, bound)
+    candidates, segments = case
+    inst = Cover(candidates, segments, [])
+    rows = [0] * len(candidates)
+    widths, bounds, offset = [], [], 0
+    for masks, bound in segments:
+        got = [sum(1 << j for j, e in enumerate(masks)
+                   if (c & e).bit_count() < bound) for c in candidates]
+        rows = [m | row << offset for m, row in zip(rows, got)]
+        widths.append((offset, (1 << len(masks)) - 1,
+                       max(map(int.bit_count, got))))
+        bounds.append((offset, bound))
+        offset += len(masks)
+    assert inst.cover == rows
+    assert inst.segments == widths
+    assert inst.bounds == bounds
+    assert inst.full == (1 << offset) - 1
 
 
 def test_counts_up_to_255():

@@ -216,6 +216,23 @@ def test_count_and_within_match_per_lane_counts(planes, full, radius):
         assert _at_most(iter(planes), rad, full) == want
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=4),
+       st.lists(st.integers(0, (1 << 12) - 1), max_size=20))
+def test_count_extends_a_start_count(start, planes):
+    # _count(planes, start) counts on from start's value, as if digit b of
+    # start had come first as 2**b planes (a zero top digit included), and
+    # leaves start as it was
+    given_start = list(start)
+    got = _count(planes, start)
+    want = _count([d for b, d in enumerate(start) for _ in range(1 << b)]
+                  + planes)
+    assert start == given_start
+    for lane in range(12):
+        assert (sum((d >> lane & 1) << b for b, d in enumerate(got))
+                == sum((d >> lane & 1) << b for b, d in enumerate(want)))
+
+
 def test_lightest_lane():
     # the lightest word of a lane set, ties to the smallest mask, also
     # when the search starts at a weight w no lane is lighter than
