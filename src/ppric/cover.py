@@ -27,6 +27,9 @@ by earlier siblings.  The branch element is the one with the fewest
 usable handlers among the lowest-index ELEMENT_WINDOW uncovered
 elements.  A segment is dead when its uncovered count exceeds the open
 slots times the largest number of its elements any one candidate covers.
+The tree is one loop over a stack of levels, as Knuth keeps Algorithm X's
+("Dancing Links", 2000), so its depth, the cover size, is bounded by the
+node budget and not by the interpreter's recursion limit.
 
 Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math.
 Programming 2011; Margot 2003) keeps the tree from visiting symmetric
@@ -41,7 +44,7 @@ handlers lie in one orbit of it when they hold the same points off the
 cells and as many in each cell, so ``_refine`` splits them into orbits by
 the candidate planes of those points and the ``_count`` digits of each
 cell's planes.  Only the lowest-index member of each orbit is tried, in
-index order; once its child returns, the whole orbit is banned for later
+index order; once its subtree is done, the whole orbit is banned for later
 siblings, since any cover through another member maps onto one through
 the member tried.  Inside the child only the tried member is banned, so
 every ban stays invariant under the smaller group below it.  The
@@ -76,6 +79,8 @@ def check_build(candidates: int, elements: int) -> None:
 
 
 class Budget:
+    """Counts tree nodes; the node that takes ``nodes`` past ``limit``
+    raises CapacityError."""
     __slots__ = ("nodes", "limit")
 
     def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
@@ -227,38 +232,39 @@ class Cover:
                 parts = _refine(parts, plane)
         return {part & -part: part for part in parts}
 
-    def _branch(self, chosen: list[int], unhandled: int, alive: int,
-                handlers: int, cells: list[int], slots: int, budget: Budget,
-                found: list | None) -> tuple[int, ...] | None:
-        """Try one candidate per orbit of ``handlers`` as the next of
-        ``slots`` picks.
+    def _tree(self, m: int, budget: Budget,
+              found: list | None = None) -> tuple[int, ...] | None:
+        """Search the size-m covers: one loop over a stack of levels.
 
-        Each candidate tried is one node.  Once it is picked the node is a
-        leaf when no slot is left, dead when a segment cannot be finished,
-        and otherwise branches on its own element.  ``alive`` is the
-        candidate mask still allowed on this path, and ``cells`` the
-        non-singleton cells of the partition fixing it (empty: every
-        handler is its own orbit).  Returns the first cover found as a
-        sorted index tuple, or None; with ``found`` a list, every cover is
-        appended to it instead and None is returned.
+        A level keeps its pick, the handlers left to try, their orbits,
+        ``alive`` (the candidates its path allows), the uncovered mask and
+        ``cells`` (the cells of two or more points fixing the path); the
+        root's holds candidate 0.  Each candidate tried is a node: a leaf
+        at the last slot, dead when a segment cannot be finished, else the
+        level is pushed and its branch element's usable handlers make the
+        next; a spent level is popped with its pick.  Returns the first
+        cover as a sorted tuple, or None; with ``found`` a list, every
+        handler is its own orbit and every cover is appended.
         """
-        cover = self.cover
-        orbits = cells and self._orbits(handlers, cells)
-        slots -= 1
-        while handlers:
+        cells = self.cells if found is None else []
+        handlers, orbits, alive, unhandled = 1, {}, self.full_pool, self.full
+        cover, stack = self.cover, []
+        while handlers or stack:
+            if not handlers:
+                _, handlers, orbits, alive, unhandled, cells = stack.pop()
+                continue
             low = handlers & -handlers
             orbit = orbits.get(low, low) if orbits else low
             handlers &= ~orbit
-            # inside the child only i itself is banned
-            alive &= ~low
             i = low.bit_length() - 1
             rest = unhandled & ~cover[i]
             budget.nodes += 1
             if budget.nodes > budget.limit:
                 raise CapacityError(f"search node budget {budget.limit} exceeded")
+            slots = m - 1 - len(stack)
             if slots == 0:
                 if not rest:
-                    ix = tuple(sorted(chosen + [i]))
+                    ix = tuple(sorted([pick for pick, *_ in stack] + [i]))
                     if found is None:
                         return ix
                     found.append(ix)
@@ -269,24 +275,21 @@ class Cover:
                 # (collect beyond the minimum) can land here
                 raise ParameterError(
                     "requested size exceeds the minimum cover size")
+            # sibling ban: every cover through this orbit maps onto one
+            # through i, tried below; inside the child only i is banned
+            sub, alive = alive & ~low, alive & ~orbit
             for off, seg, cap in self.segments:
                 if (rest >> off & seg).bit_count() > slots * cap:
                     break
             else:
-                j = self.pick_element(rest, alive)
+                j = self.pick_element(rest, sub)
                 if j >= 0:
-                    sub = cells and _refine(_refine(cells, self.sets[i]),
-                                            self.elements[j])
-                    chosen.append(i)
-                    hit = self._branch(chosen, rest, alive,
-                                       self.handler[j] & alive, sub, slots,
-                                       budget, found)
-                    chosen.pop()
-                    if hit is not None:
-                        return hit
-            # sibling ban: every cover through this orbit maps onto one
-            # through i, and those were all tried above
-            alive &= ~orbit
+                    stack.append((i, handlers, orbits, alive, unhandled, cells))
+                    cells = cells and _refine(_refine(cells, self.sets[i]),
+                                              self.elements[j])
+                    handlers = self.handler[j] & sub
+                    alive, unhandled = sub, rest
+                    orbits = cells and self._orbits(handlers, cells)
         return None
 
     def greedy(self) -> tuple[int, ...] | None:
@@ -335,10 +338,7 @@ class Cover:
         """The first cover in branch order of the smallest size in
         lower..upper that has one, by iterative deepening."""
         for m in range(lower, min(upper, len(self.cover)) + 1):
-            # the root node is the pinned pick of candidate 0
-            hit = self._branch([], self.full, self.full_pool, 1, self.cells,
-                               m, budget, None)
-            if hit is not None:
+            if (hit := self._tree(m, budget)) is not None:
                 return hit
         return None
 
@@ -351,6 +351,5 @@ class Cover:
         """
         found: list[tuple[int, ...]] = []
         if m <= len(self.cover):
-            self._branch([], self.full, self.full_pool, 1, [], m, budget,
-                         found)
+            self._tree(m, budget, found)
         return found

@@ -217,6 +217,158 @@ def test_pruned_tree_node_counts(name):
     assert (None if hit is None else len(hit)) == size
 
 
+def _branch_oracle(inst, chosen, unhandled, alive, handlers, cells, slots,
+                   budget, found):
+    """The tree as it was before it ran on a stack of levels: one recursive
+    call per pick, so its depth was capped by the interpreter.
+
+    Try one candidate per orbit of ``handlers`` as the next of ``slots``
+    picks.  Each candidate tried is one node.  Once it is picked the node
+    is a leaf when no slot is left, dead when a segment cannot be finished,
+    and otherwise branches on its own element.  ``alive`` is the candidate
+    mask still allowed on this path, and ``cells`` the non-singleton cells
+    of the partition fixing it (empty: every handler is its own orbit).
+    Returns the first cover found as a sorted index tuple, or None; with
+    ``found`` a list, every cover is appended to it instead and None is
+    returned.
+    """
+    cover = inst.cover
+    orbits = cells and inst._orbits(handlers, cells)
+    slots -= 1
+    while handlers:
+        low = handlers & -handlers
+        orbit = orbits.get(low, low) if orbits else low
+        handlers &= ~orbit
+        # inside the child only i itself is banned
+        alive &= ~low
+        i = low.bit_length() - 1
+        rest = unhandled & ~cover[i]
+        budget.nodes += 1
+        if budget.nodes > budget.limit:
+            raise CapacityError(f"search node budget {budget.limit} exceeded")
+        if slots == 0:
+            if not rest:
+                ix = tuple(sorted(chosen + [i]))
+                if found is None:
+                    return ix
+                found.append(ix)
+            continue
+        if not rest:
+            # a strictly smaller cover exists, so the deepening loop
+            # would have stopped at an earlier size; only an oversize m
+            # (collect beyond the minimum) can land here
+            raise ParameterError(
+                "requested size exceeds the minimum cover size")
+        for off, seg, cap in inst.segments:
+            if (rest >> off & seg).bit_count() > slots * cap:
+                break
+        else:
+            j = inst.pick_element(rest, alive)
+            if j >= 0:
+                sub = cells and _refine(_refine(cells, inst.sets[i]),
+                                        inst.elements[j])
+                chosen.append(i)
+                hit = _branch_oracle(inst, chosen, rest, alive,
+                                     inst.handler[j] & alive, sub, slots,
+                                     budget, found)
+                chosen.pop()
+                if hit is not None:
+                    return hit
+        # sibling ban: every cover through this orbit maps onto one
+        # through i, and those were all tried above
+        alive &= ~orbit
+    return None
+
+
+def _deepen_oracle(inst, lower, upper, budget):
+    """The first cover in branch order of the smallest size in
+    lower..upper that has one, by iterative deepening."""
+    for m in range(lower, min(upper, len(inst.cover)) + 1):
+        # the root node is the pinned pick of candidate 0
+        hit = _branch_oracle(inst, [], inst.full, inst.full_pool, 1,
+                             inst.cells, m, budget, None)
+        if hit is not None:
+            return hit
+    return None
+
+
+def _collect_oracle(inst, m, budget):
+    """Every size-m cover containing candidate 0, in branch order."""
+    found = []
+    if m <= len(inst.cover):
+        _branch_oracle(inst, [], inst.full, inst.full_pool, 1, [], m, budget,
+                       found)
+    return found
+
+
+def _outcome(run, limit):
+    """What ``run`` returns, or the type of the error it raises, and the
+    nodes it spent out of a budget of ``limit``."""
+    budget = Budget(limit)
+    try:
+        out = run(budget)
+    except (CapacityError, ParameterError) as error:
+        out = type(error)
+    return out, budget.nodes
+
+
+@st.composite
+def _tree_cases(draw):
+    """An instance drawn by ``_instances`` less the elements no candidate
+    covers (so that trees go deep), disjoint cells drawn as in
+    ``_orbit_cases`` over every point it holds, a node budget, a range
+    of sizes to deepen over and a size to collect."""
+    candidates, segments = draw(_instances())
+    segments = [([e for e in elements
+                  if any((c & e).bit_count() < bound for c in candidates)],
+                 bound) for elements, bound in segments]
+    masks = candidates + [e for elements, _ in segments for e in elements]
+    width = max(m.bit_length() for m in masks)
+    # fewer labels make larger cells, and so more orbits
+    labels = draw(st.lists(st.integers(0, draw(st.integers(1, 4))),
+                           min_size=width, max_size=width))
+    cells = [sum(1 << g for g, label in enumerate(labels) if label == k)
+             for k in range(1, 5)]
+    # a lower bound above the minimum raises at once
+    top = len(candidates) + 1
+    lower = draw(st.integers(0, 2))
+    return (candidates, segments, [c for c in cells if c],
+            draw(st.integers(0, 5_000)), lower, draw(st.integers(lower, top)),
+            draw(st.integers(0, top)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_tree_cases())
+# orbits below the root: the pairs of four points in two cells
+@example(([0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100],
+          [([0b0001, 0b0110, 0b1111], 1), ([0b0011, 0b11100], 3)],
+          [0b0011, 0b1100], 10_000, 1, 6, 3))
+def test_tree_matches_the_recursive_oracle(case):
+    # the same witness, list of covers, error and node count as the
+    # recursive tree, with budgets that run out and sizes past the minimum
+    candidates, segments, cells, limit, lower, upper, m = case
+    inst = Cover(candidates, segments, cells)
+    assert _outcome(lambda b: inst._deepen(lower, upper, b), limit) == \
+        _outcome(lambda b: _deepen_oracle(inst, lower, upper, b), limit)
+    assert _outcome(lambda b: inst.collect(m, b), limit) == \
+        _outcome(lambda b: _collect_oracle(inst, m, b), limit)
+
+
+def test_tree_deeper_than_the_interpreter_stack():
+    # 1,500 elements, each covered by its own candidate alone: the only
+    # cover takes all 1,500, one level each, past the recursion limit
+    n = 1_500
+    full = (1 << n) - 1
+    inst = Cover([1 << i for i in range(n)],
+                 [([full ^ 1 << j for j in range(n)], 1)], [])
+    budget = Budget()
+    assert inst._deepen(n, n, budget) == tuple(range(n))
+    assert budget.nodes == n
+    budget = Budget()
+    assert inst.collect(n, budget) == [tuple(range(n))]
+    assert budget.nodes == n
+
+
 def _closed(masks, cells):
     """masks is closed under swapping any two neighbouring points of a
     cell; those swaps generate the cell's symmetric group."""
@@ -254,6 +406,20 @@ def test_instance_closed_under_declared_cells(name):
             for piece in (cell & inst.sets[0], cell & ~inst.sets[0])]
     for off, seg, _ in inst.segments:
         assert _closed(inst.elements[off:off + seg.bit_count()], root)
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_tree_matches_the_recursive_oracle_with_orbits(name):
+    # the declared cells make orbits on every level of these trees; around
+    # the minimum, collect finishes, runs out or meets a smaller cover
+    inst = INSTANCES[name]()
+    top = len(inst.sets)
+    hit, nodes = _outcome(lambda b: inst._deepen(1, top, b), 1_000_000)
+    assert (hit, nodes) == _outcome(
+        lambda b: _deepen_oracle(inst, 1, top, b), 1_000_000)
+    for m in range(len(hit) - 1, len(hit) + 2):
+        assert _outcome(lambda b: inst.collect(m, b), 30_000) == _outcome(
+            lambda b: _collect_oracle(inst, m, b), 30_000)
 
 
 def test_greedy_pins_candidate_0_and_breaks_ties_low():
