@@ -18,15 +18,19 @@ caller justifies by symmetry.  ``solve`` brackets the minimum first: a
 greedy cover (Chvatal 1979) bounds it from above, and only the sizes from
 the caller's lower bound up to one below the greedy size are tried, by
 iterative deepening.  The witness is the first cover the tree finds, or
-the greedy cover when every smaller size is refuted (with no node spent
-when its size meets the lower bound); the node budget counts tree nodes
-only.  Within one size the tree branches on an uncovered element: every
-completion must contain one of its handlers (the candidates covering
-it), so the children commit one handler each and ban the handlers tried
-by earlier siblings.  The branch element is the one with the fewest
-usable handlers among the lowest-index ELEMENT_WINDOW uncovered
-elements.  A segment is dead when its uncovered count exceeds the open
-slots times the largest number of its elements any one candidate covers.
+the greedy cover when every smaller size is refuted (with nothing spent
+when its size meets the lower bound); the budget counts tree work only,
+a unit per candidate tried and per handler row intersected.  Within one
+size the tree branches on an uncovered element: every completion must
+contain one of its handlers (the candidates covering it), so the children
+commit one handler each and ban the handlers tried by earlier siblings.
+The branch element is the one with the fewest usable handlers among the
+lowest-index ELEMENT_WINDOW uncovered elements.  A segment is dead when
+its uncovered count exceeds the open slots times the largest number of
+its elements any one candidate covers.  The last pick is no branch: its
+finishers are the usable candidates in every uncovered element's row, and
+the lowest is the lowest of its orbit (see below), as the position's
+group fixes the uncovered set.
 The tree is one loop over a stack of levels, as Knuth keeps Algorithm X's
 ("Dancing Links", 2000), so its depth, the cover size, is bounded by the
 node budget and not by the interpreter's recursion limit.
@@ -79,8 +83,9 @@ def check_build(candidates: int, elements: int) -> None:
 
 
 class Budget:
-    """Counts tree nodes; the node that takes ``nodes`` past ``limit``
-    raises CapacityError."""
+    """Counts tree work in ``nodes``, a unit per candidate tried and per
+    handler row intersected at the last pick; the unit that takes it past
+    ``limit`` raises CapacityError before any cover is reported."""
     __slots__ = ("nodes", "limit")
 
     def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
@@ -239,16 +244,17 @@ class Cover:
         A level keeps its pick, the handlers left to try, their orbits,
         ``alive`` (the candidates its path allows), the uncovered mask and
         ``cells`` (the cells of two or more points fixing the path); the
-        root's holds candidate 0.  Each candidate tried is a node: a leaf
-        at the last slot, dead when a segment cannot be finished, else the
+        root's holds candidate 0.  Each candidate tried is a node: dead when a
+        segment cannot be finished, else with at most one slot left the last
+        pick in closed form, its finishers covers in index order, else the
         level is pushed and its branch element's usable handlers make the
-        next; a spent level is popped with its pick.  Returns the first
-        cover as a sorted tuple, or None; with ``found`` a list, every
-        handler is its own orbit and every cover is appended.
+        next; a spent level is popped with its pick.  Returns the first cover
+        as a sorted tuple, or None; with ``found`` a list, every handler is
+        its own orbit and every cover is appended.
         """
         cells = self.cells if found is None else []
         handlers, orbits, alive, unhandled = 1, {}, self.full_pool, self.full
-        cover, stack = self.cover, []
+        cover, handler, stack = self.cover, self.handler, []
         while handlers or stack:
             if not handlers:
                 _, handlers, orbits, alive, unhandled, cells = stack.pop()
@@ -262,14 +268,7 @@ class Cover:
             if budget.nodes > budget.limit:
                 raise CapacityError(f"search node budget {budget.limit} exceeded")
             slots = m - 1 - len(stack)
-            if slots == 0:
-                if not rest:
-                    ix = tuple(sorted([pick for pick, *_ in stack] + [i]))
-                    if found is None:
-                        return ix
-                    found.append(ix)
-                continue
-            if not rest:
+            if slots and not rest:
                 # a strictly smaller cover exists, so the deepening loop
                 # would have stopped at an earlier size; only an oversize m
                 # (collect beyond the minimum) can land here
@@ -282,12 +281,33 @@ class Cover:
                 if (rest >> off & seg).bit_count() > slots * cap:
                     break
             else:
+                if slots < 2:
+                    # the last pick in closed form, a unit a row of rest; with
+                    # no slot left (the root at size 1) candidate 0 finishes
+                    last, u = sub if slots else low, rest
+                    while u and last:
+                        j = (u & -u).bit_length() - 1
+                        u &= u - 1
+                        last &= handler[j] or self.handlers(j)
+                    budget.nodes += (rest ^ u).bit_count()
+                    if budget.nodes > budget.limit:
+                        raise CapacityError(
+                            f"search node budget {budget.limit} exceeded")
+                    picks = [p for p, *_ in stack] + [i] if slots else []
+                    while last:
+                        h = last & -last
+                        ix = tuple(sorted(picks + [h.bit_length() - 1]))
+                        if found is None:
+                            return ix
+                        found.append(ix)
+                        last ^= h
+                    continue
                 j = self.pick_element(rest, sub)
                 if j >= 0:
                     stack.append((i, handlers, orbits, alive, unhandled, cells))
                     cells = cells and _refine(_refine(cells, self.sets[i]),
                                               self.elements[j])
-                    handlers = self.handler[j] & sub
+                    handlers = handler[j] & sub
                     alive, unhandled = sub, rest
                     orbits = cells and self._orbits(handlers, cells)
         return None
@@ -319,7 +339,7 @@ class Cover:
         ``lower`` must be a true lower bound on the minimum; a greedy cover
         smaller than it raises ParameterError.  Only the sizes below the
         greedy cover's are searched: the witness is the first tree cover
-        found there, else the greedy cover.  ``budget`` counts tree nodes
+        found there, else the greedy cover.  ``budget`` counts tree work
         only, so it stays 0 when the greedy size is ``lower``.
         """
         greedy = self.greedy()

@@ -110,7 +110,8 @@ def exact_covering_number(
     value (or 1 when k = t or k = n makes that bound inapplicable) refutes
     the sizes below it.  The witness is the first tree cover found there,
     else the greedy cover, so it is deterministic.  Raises CapacityError
-    after ``node_budget`` tree nodes (the greedy step spends none); some
+    after ``node_budget`` units of tree work, candidates tried plus handler
+    rows intersected at the last pick (the greedy step spends none); some
     small-n instances still have deep cover numbers and blow up well
     before the size caps bite.
     """

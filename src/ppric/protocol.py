@@ -14,10 +14,14 @@ symbol) pairs: every coordinate of a Hamming-scheme word with its bit or
 symbol, and each element e of a Johnson word as coordinate e-1 with
 symbol 1.  For each symbol a query asks about, the database keeps, built
 on its first use, one M-bit "lacks" plane per coordinate j, whose bit m-1
-is set when record m does *not* carry that symbol at j: one
-``words._transpose`` of the records' masks of the coordinates holding the
-symbol, so a symbol costs O(M*L) once and the alphabet size never
-matters.  The distance from the query to record m is the number of
+is set when record m does *not* carry that symbol at j.  For binary and
+Johnson records that is one ``words._transpose`` of the records' masks of
+the coordinates holding the symbol, so a symbol costs O(M*L) once.  For
+q-ary records one pass over the records lays out their symbols, bit-sliced
+into log2(q) "digit" planes per coordinate; a symbol's plane at j is then
+the OR of the digit planes at j that differ from the symbol's digits, so
+the first query costs about what a binary one does and the alphabet size
+matters only through log2(q).  The distance from the query to record m is the number of
 features the record lacks, so the scan adds the query's planes into the
 vertical ripple-carry counter ``words._at_most``, which the identity
 scans in ``schemes`` share, and compares the counter with the radius bit
@@ -48,8 +52,8 @@ from .codes import PpricCode
 from .errors import FormatError, ParameterError, read_text
 from .jsondoc import JsonDoc
 from .schemes import JohnsonPpricCode
-from .words import (BinaryWord, JohnsonWord, QaryWord, _at_most, _transpose,
-                    binom)
+from .words import (_DIGITS, BinaryWord, JohnsonWord, QaryWord, _at_most,
+                    _transpose, binom)
 
 _MASK64 = (1 << 64) - 1
 
@@ -130,15 +134,39 @@ class Database:
         """symbol -> its "lacks" planes, filled by ``_lacking``."""
         return {}
 
+    @functools.cached_property
+    def _digits(self) -> list[list[int]]:
+        """For q-ary records, entry j: per bit k of a symbol, the records
+        whose symbol at coordinate j has bit k set, bit m-1 for record m.
+        One pass lays every symbol out in fixed bytes, last record first,
+        so the bytes of one coordinate are a strided slice."""
+        first = self.records[0]
+        bits = (first.q - 1).bit_length()
+        size = bits + 7 >> 3
+        rows = reversed(self.records)
+        flat = (bytes(itertools.chain.from_iterable(w.symbols for w in rows))
+                if size == 1 else b"".join(a.to_bytes(size, "little")
+                                           for w in rows for a in w.symbols))
+        step = first.length * size
+        return [[int(flat[j * size + (k >> 3)::step].translate(_DIGITS[k & 7]),
+                     2) for k in range(bits)] for j in range(first.length)]
+
     def _lacking(self, symbol: int) -> list[int]:
         """Entry j: bit m-1 set iff record m does not carry ``symbol`` at
-        coordinate j; one transpose of the records' masks, on first use."""
+        coordinate j, kept from first use: one transpose of the records'
+        masks, or for q-ary records the digit planes that differ from the
+        symbol's, ORed."""
         planes = self._lacks.get(symbol)
         if planes is None:
-            first = self.records[0]
-            width = first.n if isinstance(first, JohnsonWord) else first.length
-            held = [_holding(w, symbol) for w in self.records]
-            planes = [self._full ^ p for p in _transpose(held, width)]
+            first, full = self.records[0], self._full
+            if isinstance(first, QaryWord):
+                planes = [functools.reduce(operator.or_, (
+                    d ^ full if symbol >> k & 1 else d
+                    for k, d in enumerate(digits))) for digits in self._digits]
+            else:
+                width = first.n if isinstance(first, JohnsonWord) else first.length
+                held = [_holding(w, symbol) for w in self.records]
+                planes = [full ^ p for p in _transpose(held, width)]
             self._lacks[symbol] = planes
         return planes
 
@@ -194,13 +222,11 @@ def _shape(word) -> tuple:
 
 
 def _holding(word, symbol: int) -> int:
-    """Mask of the coordinates at which ``word`` carries ``symbol``: bit j
-    for coordinate j+1 of a Hamming-scheme word, bit e-1 for element e of a
-    Johnson word (whose elements carry symbol 1)."""
+    """Mask of the coordinates at which a binary or Johnson ``word``
+    carries ``symbol``: bit j for coordinate j+1 of a binary word, bit e-1
+    for element e of a Johnson word (whose elements carry symbol 1)."""
     if isinstance(word, BinaryWord):
         return word.mask if symbol else word.mask ^ ((1 << word.length) - 1)
-    if isinstance(word, QaryWord):
-        return sum(1 << j for j, a in enumerate(word.symbols) if a == symbol)
     return sum(1 << e - 1 for e in word.elements)
 
 

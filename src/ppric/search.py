@@ -96,8 +96,9 @@ def exact_n_search(L: int, s: int, r: int, size_cap: int | None = None,
     ``Cover.solve`` takes over with the first codeword pinned to {1..s}:
     the witness is the first cover its tree finds below the greedy size,
     or else the greedy cover.  Deterministic for fixed parameters.  The
-    node budget counts tree nodes only, so ``nodes_explored`` is 0 when
-    the bracket closes without a tree.
+    node budget counts tree work only, candidates tried plus handler rows
+    intersected at the last pick, so ``nodes_explored`` is 0 when the
+    bracket closes without a tree.
     """
     budget = Budget(node_budget)
     params = SchemeParams(L, s, r)

@@ -191,20 +191,21 @@ def test_orbits_match_the_grouping_oracle(case):
         candidates, handlers, cells)
 
 
-# node counts of trees where orbital branching prunes; without the orbits
-# they are 304,686, 266,175, 600,954, 361,091 and 56,271
+# budget units (candidates tried plus handler rows intersected at the last
+# pick) of trees where orbital branching prunes; without the orbits they
+# are 165,727, 117,486, 474,326, 413,090 and 64,299
 PRUNED_TREES = {
     "search 9,3,1 at 6": (lambda: _Space(9, 3, 1),
-                          lambda inst, b: inst._deepen(6, 6, b), 6_171, None),
+                          lambda inst, b: inst._deepen(6, 6, b), 3_243, None),
     "search 10,3,1 at 5": (lambda: _Space(10, 3, 1),
-                           lambda inst, b: inst._deepen(5, 5, b), 1_092, None),
+                           lambda inst, b: inst._deepen(5, 5, b), 601, None),
     "covering 9,4,2": (lambda: _covering_cover(9, 4, 2),
                        lambda inst, b: inst.solve(schoenheim_bound(9, 4, 2),
-                                                  126, b), 16_697, 8),
+                                                  126, b), 13_956, 8),
     "johnson 16,8,1,2": (lambda: _johnson_cover(16, 8, 1, 2),
-                         lambda inst, b: inst.solve(1, 6, b), 829, None),
+                         lambda inst, b: inst.solve(1, 6, b), 1_193, None),
     "johnson 14,7,1,2": (lambda: _johnson_cover(14, 7, 1, 2),
-                         lambda inst, b: inst.solve(1, 6, b), 786, None),
+                         lambda inst, b: inst.solve(1, 6, b), 978, None),
 }
 
 
@@ -301,15 +302,28 @@ def _collect_oracle(inst, m, budget):
     return found
 
 
-def _outcome(run, limit):
+def _outcome(run, limit=None):
     """What ``run`` returns, or the type of the error it raises, and the
-    nodes it spent out of a budget of ``limit``."""
-    budget = Budget(limit)
+    units it spent out of a budget of ``limit`` (None: a budget no tree
+    here can spend)."""
+    budget = Budget(10 ** 12 if limit is None else limit)
     try:
         out = run(budget)
     except (CapacityError, ParameterError) as error:
         out = type(error)
     return out, budget.nodes
+
+
+def _agrees(run, oracle, limit):
+    """``run`` under a budget of ``limit`` either runs out, having spent
+    more than the limit, or finishes with the witness, list of covers or
+    ParameterError of the recursive ``oracle`` run to the end; the two
+    trees spend their units differently, so only outcomes are compared."""
+    out, spent = _outcome(run, limit)
+    if out is CapacityError:
+        assert spent > limit
+    else:
+        assert out == _outcome(oracle)[0]
 
 
 @st.composite
@@ -344,19 +358,40 @@ def _tree_cases(draw):
           [([0b0001, 0b0110, 0b1111], 1), ([0b0011, 0b11100], 3)],
           [0b0011, 0b1100], 10_000, 1, 6, 3))
 def test_tree_matches_the_recursive_oracle(case):
-    # the same witness, list of covers, error and node count as the
-    # recursive tree, with budgets that run out and sizes past the minimum
+    # the recursive tree's witness, list of covers or error, with budgets
+    # that run out and sizes past the minimum
     candidates, segments, cells, limit, lower, upper, m = case
     inst = Cover(candidates, segments, cells)
-    assert _outcome(lambda b: inst._deepen(lower, upper, b), limit) == \
-        _outcome(lambda b: _deepen_oracle(inst, lower, upper, b), limit)
-    assert _outcome(lambda b: inst.collect(m, b), limit) == \
-        _outcome(lambda b: _collect_oracle(inst, m, b), limit)
+    _agrees(lambda b: inst._deepen(lower, upper, b),
+            lambda b: _deepen_oracle(inst, lower, upper, b), limit)
+    _agrees(lambda b: inst.collect(m, b),
+            lambda b: _collect_oracle(inst, m, b), limit)
+
+
+def test_budget_charges_candidates_and_rows():
+    # points 0..4; segment A is element 0, the point {0}; segment B is
+    # elements 1 and 2, the points {1} and {2}; a candidate covers an
+    # element it misses.  Candidate 0 covers none, 1 covers A, 2 covers B.
+    inst = Cover([0b00111, 0b00110, 0b00001],
+                 [([0b001], 1), ([0b010, 0b100], 1)], [])
+    # size 2: candidate 0, then rows 0 and 1 leave no finisher (row 2 is
+    # never read); size 3: candidate 0, candidate 1 for element 0, then
+    # rows 1 and 2 leave candidate 2.  Three candidates and four rows.
+    budget = Budget()
+    assert inst._deepen(2, 3, budget) == (0, 1, 2)
+    assert budget.nodes == 7
+    # the rows are charged before the cover is reported
+    with pytest.raises(CapacityError):
+        inst._deepen(2, 3, Budget(6))
+    budget = Budget()
+    assert inst.collect(3, budget) == [(0, 1, 2)]
+    assert budget.nodes == 4
 
 
 def test_tree_deeper_than_the_interpreter_stack():
     # 1,500 elements, each covered by its own candidate alone: the only
-    # cover takes all 1,500, one level each, past the recursion limit
+    # cover takes all 1,500, one level each, past the recursion limit; the
+    # budget spends 1,499 candidates and the last element's row
     n = 1_500
     full = (1 << n) - 1
     inst = Cover([1 << i for i in range(n)],
@@ -414,12 +449,11 @@ def test_tree_matches_the_recursive_oracle_with_orbits(name):
     # the minimum, collect finishes, runs out or meets a smaller cover
     inst = INSTANCES[name]()
     top = len(inst.sets)
-    hit, nodes = _outcome(lambda b: inst._deepen(1, top, b), 1_000_000)
-    assert (hit, nodes) == _outcome(
-        lambda b: _deepen_oracle(inst, 1, top, b), 1_000_000)
+    hit, _ = _outcome(lambda b: inst._deepen(1, top, b), 1_000_000)
+    assert hit == _outcome(lambda b: _deepen_oracle(inst, 1, top, b))[0]
     for m in range(len(hit) - 1, len(hit) + 2):
-        assert _outcome(lambda b: inst.collect(m, b), 30_000) == _outcome(
-            lambda b: _collect_oracle(inst, m, b), 30_000)
+        _agrees(lambda b: inst.collect(m, b),
+                lambda b: _collect_oracle(inst, m, b), 30_000)
 
 
 def test_greedy_pins_candidate_0_and_breaks_ties_low():

@@ -22,7 +22,8 @@ from ppric.protocol import (
 )
 from ppric.schemes import johnson_construction
 from ppric.search import exact_n_search
-from ppric.words import BinaryWord, JohnsonWord, QaryWord, diameter, distance
+from ppric.words import (BinaryWord, JohnsonWord, QaryWord, _transpose,
+                         diameter, distance)
 
 
 # -- rng ---------------------------------------------------------------
@@ -218,6 +219,21 @@ def test_scan_matches_distance_oracle_on_rare_symbols(kind, q, n, texts, x):
     diam = diameter(kind, x.length, n=n)
     for radius in range(-1, diam + 2):
         assert_scan_matches_oracle(parse(*texts).records, x, radius, diam)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_qary_planes_match_the_per_symbol_transpose(q):
+    # one pass over the records gives every symbol's planes; each equals
+    # the transpose of the records' masks of the coordinates holding it
+    rnd = random.Random(q)
+    L = 11
+    records = tuple(random_word("qary", q, L, 0, rnd) for _ in range(300))
+    db = Database(records)
+    full = (1 << len(records)) - 1
+    for a in range(q):
+        held = [sum(1 << j for j, b in enumerate(w.symbols) if b == a)
+                for w in records]
+        assert db._lacking(a) == [full ^ p for p in _transpose(held, L)]
 
 
 def test_scan_rejects_a_query_of_another_shape():

@@ -110,6 +110,16 @@ def test_replay_12_3_2_has_no_seven_word_code():
     assert verify_enumeration(res.witness).is_ppric
 
 
+def test_replay_11_4_1_settles_at_eight():
+    # the bracket opens at 7 below the 10-word catalog code; the tree
+    # refutes size 7 and finds an 8-word code within criterion 05's budget
+    assert bounds.best_lower(11, 4, 1) == 7
+    assert available_recipes(11, 4, 1)[0].size == 10
+    res = exact_n_search(11, 4, 1, node_budget=2_000_000)
+    assert res.n_exact == 8
+    assert verify_enumeration(res.witness).is_ppric
+
+
 # every admissible point with L <= 9 but (9, 3, 2), whose minimum neither
 # search settles within the budget
 SOUNDNESS_GRID = [(L, s, r) for L in range(3, 10) for s in range(1, L)
