@@ -326,41 +326,87 @@ def _agrees(run, oracle, limit):
         assert out == _outcome(oracle)[0]
 
 
+def _swaps(cells):
+    """The swaps of neighbouring points of each cell, which generate the
+    cells' Young subgroup."""
+    out = []
+    for cell in cells:
+        points = [g for g in range(cell.bit_length()) if cell >> g & 1]
+        out += [1 << a | 1 << b for a, b in zip(points, points[1:])]
+    return out
+
+
+def _closure(masks, cells):
+    """masks, then each further image of theirs under the permutations
+    within the cells, in the order a breadth-first walk meets them."""
+    out, seen, swaps = list(masks), set(masks), _swaps(cells)
+    for m in out:
+        for swap in swaps:
+            if m & swap not in (0, swap) and m ^ swap not in seen:
+                seen.add(m ^ swap)
+                out.append(m ^ swap)
+    return out
+
+
+def _root_pieces(cells, first):
+    """The cells split by candidate 0, whose permutations fix it."""
+    return [piece for cell in cells for piece in (cell & first, cell & ~first)]
+
+
+# the most masks a closed candidate list or segment may hold
+CLOSURE_CAP = 40
+
+
 @st.composite
 def _tree_cases(draw):
-    """An instance drawn by ``_instances`` less the elements no candidate
-    covers (so that trees go deep), disjoint cells drawn as in
-    ``_orbit_cases`` over every point it holds, a node budget, a range
-    of sizes to deepen over and a size to collect."""
-    candidates, segments = draw(_instances())
-    segments = [([e for e in elements
-                  if any((c & e).bit_count() < bound for c in candidates)],
-                 bound) for elements, bound in segments]
-    masks = candidates + [e for elements, _ in segments for e in elements]
+    """An instance drawn by ``_instances``, disjoint cells drawn as in
+    ``_orbit_cases`` over every point it holds, a node budget, a range of
+    sizes to deepen over and a size to collect.  The instance is closed
+    under the cells as ``Cover`` requires: the candidates under the cells,
+    each segment under the cells split by candidate 0, less the elements
+    no candidate covers (so that trees go deep).  While a closure holds
+    more than CLOSURE_CAP masks, the largest cell is dropped."""
+    drawn, segments = draw(_instances())
+    masks = drawn + [e for elements, _ in segments for e in elements]
     width = max(m.bit_length() for m in masks)
     # fewer labels make larger cells, and so more orbits
     labels = draw(st.lists(st.integers(0, draw(st.integers(1, 4))),
                            min_size=width, max_size=width))
     cells = [sum(1 << g for g, label in enumerate(labels) if label == k)
              for k in range(1, 5)]
+    cells = [c for c in cells if c]
+    while True:
+        candidates = _closure(drawn, cells)
+        root = _root_pieces(cells, candidates[0])
+        closed = [([e for e in _closure(elements, root)
+                    if any((c & e).bit_count() < bound for c in candidates)],
+                   bound) for elements, bound in segments]
+        if max(len(m) for m in [candidates] + [e for e, _ in closed]) \
+                <= CLOSURE_CAP or not cells:
+            break
+        cells.remove(max(cells, key=int.bit_count))
     # a lower bound above the minimum raises at once
     top = len(candidates) + 1
     lower = draw(st.integers(0, 2))
-    return (candidates, segments, [c for c in cells if c],
-            draw(st.integers(0, 5_000)), lower, draw(st.integers(lower, top)),
-            draw(st.integers(0, top)))
+    return (candidates, closed, cells, draw(st.integers(0, 5_000)), lower,
+            draw(st.integers(lower, top)), draw(st.integers(0, top)))
 
 
 @settings(deadline=None, max_examples=300)
 @given(_tree_cases())
-# orbits below the root: the pairs of four points in two cells
-@example(([0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100],
-          [([0b0001, 0b0110, 0b1111], 1), ([0b0011, 0b11100], 3)],
-          [0b0011, 0b1100], 10_000, 1, 6, 3))
+# orbits below the root: the pairs of six points in one cell, each pair
+# covered by the pairs it misses
+@example((list(_subsets(0b111111, 2)), [(list(_subsets(0b111111, 2)), 1)],
+          [0b111111], 10_000, 1, 6, 3))
 def test_tree_matches_the_recursive_oracle(case):
     # the recursive tree's witness, list of covers or error, with budgets
-    # that run out and sizes past the minimum
+    # that run out and sizes past the minimum; the last pick's finishers
+    # match the oracle's one try per orbit only where the declared
+    # symmetry is real, so every case holds it
     candidates, segments, cells, limit, lower, upper, m = case
+    assert _closed(candidates, cells)
+    for elements, _ in segments:
+        assert _closed(elements, _root_pieces(cells, candidates[0]))
     inst = Cover(candidates, segments, cells)
     _agrees(lambda b: inst._deepen(lower, upper, b),
             lambda b: _deepen_oracle(inst, lower, upper, b), limit)
@@ -408,14 +454,8 @@ def _closed(masks, cells):
     """masks is closed under swapping any two neighbouring points of a
     cell; those swaps generate the cell's symmetric group."""
     pool = set(masks)
-    for cell in cells:
-        points = [g for g in range(cell.bit_length()) if cell >> g & 1]
-        for a, b in zip(points, points[1:]):
-            swap = 1 << a | 1 << b
-            for m in pool:
-                if (m >> a ^ m >> b) & 1 and m ^ swap not in pool:
-                    return False
-    return True
+    return all(m ^ swap in pool for swap in _swaps(cells) for m in pool
+               if m & swap not in (0, swap))
 
 
 INSTANCES = {
@@ -437,8 +477,7 @@ def test_instance_closed_under_declared_cells(name):
     inst = INSTANCES[name]()
     assert inst.cells
     assert _closed(inst.sets, inst.cells)
-    root = [piece for cell in inst.cells
-            for piece in (cell & inst.sets[0], cell & ~inst.sets[0])]
+    root = _root_pieces(inst.cells, inst.sets[0])
     for off, seg, _ in inst.segments:
         assert _closed(inst.elements[off:off + seg.bit_count()], root)
 
