@@ -47,14 +47,15 @@ that partition fixes the whole position, bans included.  Two usable
 handlers lie in one orbit of it when they hold the same points off the
 cells and as many in each cell, so ``_refine`` splits them into orbits by
 the candidate planes of those points and the ``_count`` digits of each
-cell's planes.  Only the lowest-index member of each orbit is tried, in
-index order; once its subtree is done, the whole orbit is banned for later
-siblings, since any cover through another member maps onto one through
-the member tried.  Inside the child only the tried member is banned, so
-every ban stays invariant under the smaller group below it.  The
-deepening thus visits each completion up to symmetry at least once and
-stops at the first cover in branch order; ``collect`` treats every
-handler as its own orbit, so it visits every completion exactly once.
+cell's planes, kept per cell mask as they depend on nothing else.  Only
+the lowest-index member of each orbit is tried, in index order; once its
+subtree is done, the whole orbit is banned for later siblings, since any
+cover through another member maps onto one through the member tried.
+Inside the child only the tried member is banned, so every ban stays
+invariant under the smaller group below it.  The deepening thus visits
+each completion up to symmetry at least once and stops at the first
+cover in branch order; ``collect`` treats every handler as its own orbit,
+so it visits every completion exactly once.
 """
 
 from __future__ import annotations
@@ -168,6 +169,8 @@ class Cover:
         self.full_pool = (1 << len(candidates)) - 1
         # the handler rows, counted by ``handlers`` when first read
         self.handler = [None] * offset
+        # cell mask -> its loose candidates and count digits, for ``_orbits``
+        self.split = {}
 
     def handlers(self, j: int) -> int:
         """Mask of the candidates covering element j, counted over the
@@ -185,27 +188,23 @@ class Cover:
         """Index of the branch element, or -1 for a dead position.
 
         Scans the lowest-index uncovered elements (at most ELEMENT_WINDOW
-        of them) and keeps the one with the fewest usable handlers.  Any
-        inspected element with none at all kills the position outright.
+        of them) and keeps the first with the fewest usable handlers.  An
+        inspected element with none at all kills the position outright,
+        and one with a single handler is taken at once.
         """
-        handler = self.handler
-        best = 0
-        pick = -1
-        u = unhandled
-        seen = 0
-        while u and seen < ELEMENT_WINDOW:
-            low = u & -u
-            u ^= low
-            seen += 1
-            j = low.bit_length() - 1
+        handler, u, left = self.handler, unhandled, ELEMENT_WINDOW
+        # no count of usable handlers reaches best at first
+        best, pick = alive.bit_count() + 1, -1
+        while u and left:
+            j = (u & -u).bit_length() - 1
+            u &= u - 1
+            left -= 1
             # an unread row is None; a read row of 0 is kept by handlers
             c = ((handler[j] or self.handlers(j)) & alive).bit_count()
-            if c == 0:
-                return -1
-            if best == 0 or c < best:
+            if c < 2:
+                return j if c else -1
+            if c < best:
                 best, pick = c, j
-                if c == 1:
-                    break
         return pick
 
     def _orbits(self, handlers: int, cells: list[int]) -> dict[int, int]:
@@ -213,18 +212,18 @@ class Cover:
         ``handlers`` under the Young subgroup of ``cells``: the loose ones
         (meeting a cell in some but not all its points) split by their points
         off the cells and their ``_count`` in each; the rest are alone."""
-        members = self.members
+        members, split = self.members, self.split
         moving = loose = 0
         planes = []
         for cell in cells:
             moving |= cell
-            column = []
-            while cell:
-                low = cell & -cell
-                cell ^= low
-                column.append(members[low.bit_length() - 1])
-            loose |= reduce(or_, column) & ~reduce(and_, column)
-            planes += _count(column)
+            if cell not in split:
+                column = [members[g] for g in sorted(_points(cell))]
+                split[cell] = (reduce(or_, column) & ~reduce(and_, column),
+                               _count(column))
+            part, digits = split[cell]
+            loose |= part
+            planes += digits
         loose &= handlers
         if not loose & (loose - 1):
             return {}
@@ -250,66 +249,76 @@ class Cover:
         level is pushed and its branch element's usable handlers make the
         next; a spent level is popped with its pick.  Returns the first cover
         as a sorted tuple, or None; with ``found`` a list, every handler is
-        its own orbit and every cover is appended.
+        its own orbit and every cover is appended.  The units are counted
+        in a local and written back to ``budget`` however the loop ends.
         """
         cells = self.cells if found is None else []
         handlers, orbits, alive, unhandled = 1, {}, self.full_pool, self.full
-        cover, handler, stack = self.cover, self.handler, []
-        while handlers or stack:
-            if not handlers:
-                _, handlers, orbits, alive, unhandled, cells = stack.pop()
-                continue
-            low = handlers & -handlers
-            orbit = orbits.get(low, low) if orbits else low
-            handlers &= ~orbit
-            i = low.bit_length() - 1
-            rest = unhandled & ~cover[i]
-            budget.nodes += 1
-            if budget.nodes > budget.limit:
-                raise CapacityError(f"search node budget {budget.limit} exceeded")
-            slots = m - 1 - len(stack)
-            if slots and not rest:
-                # a strictly smaller cover exists, so the deepening loop
-                # would have stopped at an earlier size; only an oversize m
-                # (collect beyond the minimum) can land here
-                raise ParameterError(
-                    "requested size exceeds the minimum cover size")
-            # sibling ban: every cover through this orbit maps onto one
-            # through i, tried below; inside the child only i is banned
-            sub, alive = alive & ~low, alive & ~orbit
-            for off, seg, cap in self.segments:
-                if (rest >> off & seg).bit_count() > slots * cap:
-                    break
-            else:
-                if slots < 2:
-                    # the last pick in closed form, a unit a row of rest; with
-                    # no slot left (the root at size 1) candidate 0 finishes
-                    last, u = sub if slots else low, rest
-                    while u and last:
-                        j = (u & -u).bit_length() - 1
-                        u &= u - 1
-                        last &= handler[j] or self.handlers(j)
-                    budget.nodes += (rest ^ u).bit_count()
-                    if budget.nodes > budget.limit:
-                        raise CapacityError(
-                            f"search node budget {budget.limit} exceeded")
-                    picks = [p for p, *_ in stack] + [i] if slots else []
-                    while last:
-                        h = last & -last
-                        ix = tuple(sorted(picks + [h.bit_length() - 1]))
-                        if found is None:
-                            return ix
-                        found.append(ix)
-                        last ^= h
+        cover, handler, segments = self.cover, self.handler, self.segments
+        # the open slots below the current level's pick
+        nodes, limit, slots, stack = budget.nodes, budget.limit, m - 1, []
+        try:
+            while handlers or stack:
+                if not handlers:
+                    _, handlers, orbits, alive, unhandled, cells = stack.pop()
+                    slots += 1
                     continue
-                j = self.pick_element(rest, sub)
-                if j >= 0:
-                    stack.append((i, handlers, orbits, alive, unhandled, cells))
-                    cells = cells and _refine(_refine(cells, self.sets[i]),
-                                              self.elements[j])
-                    handlers = handler[j] & sub
-                    alive, unhandled = sub, rest
-                    orbits = cells and self._orbits(handlers, cells)
+                low = handlers & -handlers
+                orbit = orbits.get(low, low) if orbits else low
+                handlers &= ~orbit
+                i = low.bit_length() - 1
+                rest = unhandled & ~cover[i]
+                nodes += 1
+                if nodes > limit:
+                    raise CapacityError(f"search node budget {limit} exceeded")
+                if slots and not rest:
+                    # a strictly smaller cover exists, so the deepening loop
+                    # would have stopped at an earlier size; only an oversize
+                    # m (collect beyond the minimum) can land here
+                    raise ParameterError(
+                        "requested size exceeds the minimum cover size")
+                # sibling ban: every cover through this orbit maps onto one
+                # through i, tried below; inside the child only i is banned
+                sub, alive = alive & ~low, alive & ~orbit
+                for off, seg, cap in segments:
+                    if (rest >> off & seg).bit_count() > slots * cap:
+                        break
+                else:
+                    if slots < 2:
+                        # the last pick in closed form, a unit a row of rest;
+                        # with no slot left (the root at size 1) candidate 0
+                        # finishes
+                        last, u = sub if slots else low, rest
+                        while u and last:
+                            j = (u & -u).bit_length() - 1
+                            u &= u - 1
+                            last &= handler[j] or self.handlers(j)
+                        nodes += (rest ^ u).bit_count()
+                        if nodes > limit:
+                            raise CapacityError(
+                                f"search node budget {limit} exceeded")
+                        if last:  # i is a pick unless it is the finisher
+                            picks = [p for p, *_ in stack] + [i] * slots
+                        while last:
+                            h = last & -last
+                            ix = tuple(sorted(picks + [h.bit_length() - 1]))
+                            if found is None:
+                                return ix
+                            found.append(ix)
+                            last ^= h
+                        continue
+                    j = self.pick_element(rest, sub)
+                    if j >= 0:
+                        stack.append((i, handlers, orbits, alive, unhandled,
+                                      cells))
+                        slots -= 1
+                        cells = cells and _refine(_refine(cells, self.sets[i]),
+                                                  self.elements[j])
+                        handlers = handler[j] & sub
+                        alive, unhandled = sub, rest
+                        orbits = cells and self._orbits(handlers, cells)
+        finally:
+            budget.nodes = nodes
         return None
 
     def greedy(self) -> tuple[int, ...] | None:

@@ -43,7 +43,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from dataclasses import dataclass
+from operator import and_, methodcaller, rshift
 from typing import Iterator
 
 from .errors import CapacityError, FormatError, ParameterError
@@ -396,18 +399,25 @@ def _at_most(planes, radius: int, full: int) -> int:
 
 # per bit b, a byte to the digit '0' or '1' of its bit b
 _DIGITS = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
+# whether array("Q") lays out 64 points of a mask in 8 bytes, low first
+_MACHINE_WORDS = array("Q").itemsize == 8 and sys.byteorder == "little"
 
 
 def _transpose(masks: list[int], width: int) -> list[int]:
     """Entry g < width: the mask of the (nonempty) ``masks`` holding point
-    g, bit i for masks[i].  With a field of bytes per mask, last mask
-    first, the byte holding g in every field gives g's digits in base 2."""
-    size = (max(width, max(masks).bit_length()) + 7 >> 3) or 1
-    data = bytearray(len(masks) * size)
-    for at, m in zip(range(len(data) - size, -1, -size), masks):
-        data[at:at + size] = m.to_bytes(size, "little")
-    return [int(data[g >> 3::size].translate(_DIGITS[g & 7]), 2)
-            for g in range(width)]
+    g, bit i for masks[i].  Each 64 points are a column of words, last mask
+    first, laid out in C (by ``to_bytes`` where machine words differ), so
+    the byte holding g in every word gives g's digits in base 2."""
+    last_first, out, wide = masks[::-1], [], max(masks) >> 64
+    for k in range(0, width, 64):
+        column = last_first if not (k or wide) else map(
+            and_, map(rshift, last_first, itertools.repeat(k)),
+            itertools.repeat((1 << 64) - 1))
+        data = (array("Q", column).tobytes() if _MACHINE_WORDS else
+                b"".join(map(methodcaller("to_bytes", 8, "little"), column)))
+        out += [int(data[g >> 3 & 7::8].translate(_DIGITS[g & 7]), 2)
+                for g in range(k, min(k + 64, width))]
+    return out
 
 
 def _qary_plane(q: int, L: int, j: int, a: int) -> int:
@@ -444,9 +454,13 @@ def _johnson_plane(n: int, L: int, p: int) -> int:
 
 def _bit_planes(L: int) -> list[int]:
     """F_2^L as lanes, lane index = mask: entry c holds the lanes whose
-    word has bit c set, symbol L-1-c of [2]^L in product order."""
+    word has bit c set, symbol L-1-c of [2]^L in product order: the upper
+    half of the lanes on top, then p ^ p >> 2**c below each plane p."""
     check_scan(1 << L)
-    return [_qary_plane(2, L, L - 1 - c, 1) for c in range(L)]
+    planes = [((1 << (1 << L - 1)) - 1) << (1 << L - 1)] if L else []
+    for c in reversed(range(L - 1)):
+        planes.append(planes[-1] ^ planes[-1] >> (1 << c))
+    return planes[::-1]
 
 
 def _lightest(lanes: int, weights: list[int],

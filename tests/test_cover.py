@@ -192,8 +192,10 @@ def test_orbits_match_the_grouping_oracle(case):
 
 
 # budget units (candidates tried plus handler rows intersected at the last
-# pick) of trees where orbital branching prunes; without the orbits they
-# are 165,727, 117,486, 474,326, 413,090 and 64,299
+# pick) and witnesses of trees where orbital branching prunes; without the
+# orbits the units are 165,727, 117,486, 474,326, 413,090, 64,299 and
+# 427,415.  c(10,5,2) at 6 reaches its cover through many slot-2 levels of
+# a one-segment instance.
 PRUNED_TREES = {
     "search 9,3,1 at 6": (lambda: _Space(9, 3, 1),
                           lambda inst, b: inst._deepen(6, 6, b), 3_243, None),
@@ -201,21 +203,24 @@ PRUNED_TREES = {
                            lambda inst, b: inst._deepen(5, 5, b), 601, None),
     "covering 9,4,2": (lambda: _covering_cover(9, 4, 2),
                        lambda inst, b: inst.solve(schoenheim_bound(9, 4, 2),
-                                                  126, b), 13_956, 8),
+                                                  126, b), 13_956,
+                       (0, 17, 18, 21, 46, 86, 96, 99)),
     "johnson 16,8,1,2": (lambda: _johnson_cover(16, 8, 1, 2),
                          lambda inst, b: inst.solve(1, 6, b), 1_193, None),
     "johnson 14,7,1,2": (lambda: _johnson_cover(14, 7, 1, 2),
                          lambda inst, b: inst.solve(1, 6, b), 978, None),
+    "covering 10,5,2 at 6": (lambda: _covering_cover(10, 5, 2),
+                             lambda inst, b: inst._deepen(6, 7, b), 32_150,
+                             (0, 11, 110, 160, 231, 248)),
 }
 
 
 @pytest.mark.parametrize("name", PRUNED_TREES)
 def test_pruned_tree_node_counts(name):
-    build, run, nodes, size = PRUNED_TREES[name]
+    build, run, nodes, witness = PRUNED_TREES[name]
     budget = Budget()
-    hit = run(build(), budget)
+    assert run(build(), budget) == witness
     assert budget.nodes == nodes
-    assert (None if hit is None else len(hit)) == size
 
 
 def _branch_oracle(inst, chosen, unhandled, alive, handlers, cells, slots,
@@ -426,12 +431,29 @@ def test_budget_charges_candidates_and_rows():
     budget = Budget()
     assert inst._deepen(2, 3, budget) == (0, 1, 2)
     assert budget.nodes == 7
-    # the rows are charged before the cover is reported
+    # the rows are charged before the cover is reported, and the unit past
+    # the limit is counted
+    budget = Budget(6)
     with pytest.raises(CapacityError):
-        inst._deepen(2, 3, Budget(6))
+        inst._deepen(2, 3, budget)
+    assert budget.nodes == 7
     budget = Budget()
     assert inst.collect(3, budget) == [(0, 1, 2)]
     assert budget.nodes == 4
+    # a budget shared by two runs counts on from where the first left it
+    budget = Budget()
+    inst._deepen(2, 3, budget)
+    assert inst.collect(3, budget) == [(0, 1, 2)]
+    assert budget.nodes == 11
+
+
+def test_oversize_collect_keeps_its_count():
+    # c(7,4,2) = 5: a 6-cover meets a 5-cover mid-branch and raises, its
+    # units counted up to the node that found the smaller cover
+    budget = Budget()
+    with pytest.raises(ParameterError):
+        _covering_cover(7, 4, 2).collect(6, budget)
+    assert budget.nodes == 47
 
 
 def test_tree_deeper_than_the_interpreter_stack():

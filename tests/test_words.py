@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ppric import words
 from ppric.errors import CapacityError, FormatError, ParameterError
 from ppric.words import (
     BinaryWord,
@@ -16,7 +18,9 @@ from ppric.words import (
     _bit_planes,
     _count,
     _lightest,
+    _qary_plane,
     _subsets,
+    _transpose,
     _within,
     ball_size,
     binom,
@@ -195,6 +199,40 @@ def test_bit_lanes_index_words_by_mask():
                 assert plane >> y & 1 == y >> c & 1, (L, c, y)
     with pytest.raises(CapacityError):
         _bit_planes(25)
+
+
+def test_bit_planes_match_the_product_order_planes():
+    for L in range(15):
+        assert _bit_planes(L) == [_qary_plane(2, L, L - 1 - c, 1)
+                                  for c in range(L)]
+
+
+@st.composite
+def _transpose_cases(draw):
+    # up to 40 masks of at most cap bits, zero masks included; the width
+    # near a byte or 64-bit word edge, within the longest mask, or past it
+    cap = draw(st.sampled_from([8, 63, 64, 65, 128, 129, 200]))
+    masks = draw(st.lists(st.integers(0, cap).flatmap(
+        lambda bits: st.integers(0, (1 << bits) - 1)), min_size=1,
+        max_size=40))
+    longest = max(masks).bit_length()
+    width = draw(st.one_of(
+        st.sampled_from([8, 63, 64, 65, 128, 129]).flatmap(
+            lambda w: st.integers(w - 2, w + 2)),
+        st.integers(0, longest), st.integers(longest, longest + 70)))
+    return masks, width
+
+
+@settings(deadline=None, max_examples=300)
+@given(_transpose_cases(), st.booleans())
+def test_transpose_matches_the_per_bit_definition(case, machine_words):
+    masks, width = case
+    expected = [sum((m >> g & 1) << i for i, m in enumerate(masks))
+                for g in range(width)]
+    # the machine-word layout, where the platform has it, and to_bytes
+    with patch.object(words, "_MACHINE_WORDS",
+                      words._MACHINE_WORDS and machine_words):
+        assert _transpose(masks, width) == expected
 
 
 @settings(deadline=None, max_examples=200)
