@@ -403,15 +403,6 @@ def _seeded(rule: str, seed: str, least_r: int) -> Family:
     return _chain_family(rule, layout, plans)
 
 
-def _doubling_spec(L: int, s: int, r: int, seed: str) -> tuple[int, int]:
-    d = _SEEDS[seed]
-    plan = doubling_params(d.n, d.k, d.t, d.size, d.n, d.k, d.t, d.size)
-    if (s, r) != (plan["s"], plan["r"]):
-        raise ParameterError(
-            f"doubling the {seed} design gives s={plan['s']}, r={plan['r']}")
-    return plan["size"], plan["L"]
-
-
 RECIPES = {family.rule: family for family in (
     Family("full", lambda L, s, r: (binom(L, s), 2 * s + r + 1), _full_code),
     _chain_family("disjoint", lambda r: ([], r + 3)),
@@ -423,9 +414,10 @@ RECIPES = {family.rule: family for family in (
     _seeded("design952", "9-5-2", 0),
     # alone, the six all-pairs words are too few at L/s < 17/8 (lb.r0.special)
     _seeded("design422", "4-2-2", 2),
-    Family("doubling", _doubling_spec,
-           lambda L, s, r, seed: doubling(_SEEDS[seed], _SEEDS[seed], L),
-           lambda s, r: [{"seed": seed} for seed in _SEEDS]),
+    # two copies of a seed design side by side: s = n - k, r = 2t - 1
+    _chain_family("doubling", lambda r, seed: ([_SEEDS[seed]] * 2, 0),
+                  lambda s, r: [{"seed": seed} for seed, d in _SEEDS.items()
+                                if (s, r) == (d.n - d.k, 2 * d.t - 1)]),
 )}
 
 

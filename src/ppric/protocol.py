@@ -12,22 +12,23 @@ A server answers with one scan over its whole database, bit-sliced
 across records (Biham, FSE 1997).  A query's features are (coordinate,
 symbol) pairs: every coordinate of a Hamming-scheme word with its bit or
 symbol, and each element e of a Johnson word as coordinate e-1 with
-symbol 1.  For each symbol a query asks about, the database keeps, built
-on its first use, one M-bit "lacks" plane per coordinate j, whose bit m-1
-is set when record m does *not* carry that symbol at j.  For binary and
-Johnson records that is one ``words._transpose`` of the records' masks of
-the coordinates holding the symbol, so a symbol costs O(M*L) once.  For
-q-ary records one pass over the records lays out their symbols, bit-sliced
-into log2(q) "digit" planes per coordinate; a symbol's plane at j is then
-the OR of the digit planes at j that differ from the symbol's digits, so
-the first query costs about what a binary one does and the alphabet size
-matters only through log2(q).  The distance from the query to record m is the number of
-features the record lacks, so the scan adds the query's planes into the
-vertical ripple-carry counter ``words._at_most``, which the identity
-scans in ``schemes`` share, and compares the counter with the radius bit
-by bit.  The answer is the resulting record mask, and reconstruction
-ANDs the masks; ``records_of`` turns a mask into record indices, walking
-only the set bits of a sparse mask.
+symbol 1.  On first use the database lays its records out as "digit"
+planes, log2(q) M-bit planes per coordinate j, whose plane k has bit m-1
+set when bit k of record m's symbol at j is 1.  A binary or Johnson
+record is one digit, so its planes are one ``words._transpose`` of the
+records' symbol-1 masks; q-ary records are laid out in one pass over
+their symbols.  For each symbol a query asks about, the database keeps
+one "lacks" plane per coordinate j, whose bit m-1 is set when record m
+does *not* carry that symbol at j: the OR of the digit planes at j, each
+complemented where the symbol's bit is 1.  So the layout costs O(M*L)
+once, and the alphabet size matters only through log2(q).  The distance
+from the query to record m is the number of features the record lacks,
+so the scan adds the query's planes into the vertical ripple-carry
+counter ``words._at_most``, which the identity scans in ``schemes``
+share, and compares the counter with the radius bit by bit.  The answer
+is the resulting record mask, and reconstruction ANDs the masks;
+``records_of`` turns a mask into record indices, walking only the set
+bits of a sparse mask.
 
 Whether the intersection is right depends on the code alone, not on the
 query, so the check reads the code's cached ``verdict``: each code object
@@ -136,11 +137,20 @@ class Database:
 
     @functools.cached_property
     def _digits(self) -> list[list[int]]:
-        """For q-ary records, entry j: per bit k of a symbol, the records
-        whose symbol at coordinate j has bit k set, bit m-1 for record m.
-        One pass lays every symbol out in fixed bytes, last record first,
-        so the bytes of one coordinate are a strided slice."""
+        """Entry j: per bit k of a symbol, the records whose symbol at
+        coordinate j has bit k set, bit m-1 for record m.  A binary or
+        Johnson record has one digit, so one transpose of the records'
+        symbol-1 masks gives every plane.  One pass lays q-ary symbols out
+        in fixed bytes, last record first, so the bytes of one coordinate
+        are a strided slice."""
         first = self.records[0]
+        if isinstance(first, BinaryWord):
+            return [[p] for p in _transpose([w.mask for w in self.records],
+                                            first.length)]
+        if isinstance(first, JohnsonWord):
+            return [[p] for p in _transpose(
+                [sum(1 << e - 1 for e in w.elements) for w in self.records],
+                first.n)]
         bits = (first.q - 1).bit_length()
         size = bits + 7 >> 3
         rows = reversed(self.records)
@@ -153,20 +163,14 @@ class Database:
 
     def _lacking(self, symbol: int) -> list[int]:
         """Entry j: bit m-1 set iff record m does not carry ``symbol`` at
-        coordinate j, kept from first use: one transpose of the records'
-        masks, or for q-ary records the digit planes that differ from the
-        symbol's, ORed."""
+        coordinate j, kept from first use: the OR of the digit planes at j,
+        each complemented where the symbol's bit is 1."""
         planes = self._lacks.get(symbol)
         if planes is None:
-            first, full = self.records[0], self._full
-            if isinstance(first, QaryWord):
-                planes = [functools.reduce(operator.or_, (
-                    d ^ full if symbol >> k & 1 else d
-                    for k, d in enumerate(digits))) for digits in self._digits]
-            else:
-                width = first.n if isinstance(first, JohnsonWord) else first.length
-                held = [_holding(w, symbol) for w in self.records]
-                planes = [full ^ p for p in _transpose(held, width)]
+            full = self._full
+            planes = [functools.reduce(operator.or_, (
+                d ^ full if symbol >> k & 1 else d
+                for k, d in enumerate(digits))) for digits in self._digits]
             self._lacks[symbol] = planes
         return planes
 
@@ -219,15 +223,6 @@ def _shape(word) -> tuple:
     if isinstance(word, JohnsonWord):
         return ("johnson", word.n, word.length)
     raise ParameterError(f"not a scheme word: {word!r}")
-
-
-def _holding(word, symbol: int) -> int:
-    """Mask of the coordinates at which a binary or Johnson ``word``
-    carries ``symbol``: bit j for coordinate j+1 of a binary word, bit e-1
-    for element e of a Johnson word (whose elements carry symbol 1)."""
-    if isinstance(word, BinaryWord):
-        return word.mask if symbol else word.mask ^ ((1 << word.length) - 1)
-    return sum(1 << e - 1 for e in word.elements)
 
 
 def _features(word) -> list[tuple[int, int]]:

@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private module-level name is used somewhere in the package."""
 
 import ast
+import itertools
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,49 @@ def test_an_unused_import_is_caught():
               "print(sys.argv, count)\n")
     assert _unused_imports(source, False) == ["os", "_points", "BinaryWord"]
     assert _unused_imports(source, True) == ["_points"]
+
+
+def _private_names(tree: ast.Module) -> list[str]:
+    """The module-level functions, classes and assignments of ``tree`` whose
+    names start with one underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names.append(node.target.id)
+    return [name for name in names
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _unreferenced(sources: list[str]) -> list[str]:
+    """The private module-level names defined in ``sources`` that no name,
+    attribute or import in them reads."""
+    trees = [ast.parse(source) for source in sources]
+    read = set()
+    for node in itertools.chain.from_iterable(map(ast.walk, trees)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return [name for tree in trees for name in _private_names(tree)
+            if name not in read]
+
+
+def test_no_dead_private_helper():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert _unreferenced(sources) == []
+
+
+def test_a_dead_private_helper_is_caught():
+    sources = ["_LIMIT = 3\n_SEEN: set = set()\n"
+               "def _dead(x):\n    return x\n"
+               "def _used(x):\n    return x + _LIMIT\n"
+               "class _Gone:\n    pass\n",
+               "from .a import _used\n_SEEN2 = _used(1)\n"]
+    assert _unreferenced(sources) == ["_SEEN", "_dead", "_Gone", "_SEEN2"]

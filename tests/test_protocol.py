@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppric import codes, schemes
+from ppric import codes, protocol, schemes
 from ppric.codes import PpricCode, make_code, verify_exact
 from ppric.construct import build_disjoint
 from ppric.errors import CapacityError, FormatError, ParameterError
@@ -221,19 +221,54 @@ def test_scan_matches_distance_oracle_on_rare_symbols(kind, q, n, texts, x):
         assert_scan_matches_oracle(parse(*texts).records, x, radius, diam)
 
 
-@pytest.mark.parametrize("q", [3, 5])
-def test_qary_planes_match_the_per_symbol_transpose(q):
-    # one pass over the records gives every symbol's planes; each equals
-    # the transpose of the records' masks of the coordinates holding it
-    rnd = random.Random(q)
-    L = 11
-    records = tuple(random_word("qary", q, L, 0, rnd) for _ in range(300))
+def symbols_of(word):
+    """A record's symbol at each coordinate: a Johnson word's elements
+    carry symbol 1, the rest of 1..n symbol 0."""
+    if isinstance(word, BinaryWord):
+        return [word.mask >> j & 1 for j in range(word.length)]
+    if isinstance(word, QaryWord):
+        return list(word.symbols)
+    return [int(e in word.elements) for e in range(1, word.n + 1)]
+
+
+@pytest.mark.parametrize("kind,q,L,n", [
+    pytest.param("binary", 2, 11, 0, id="binary"),
+    pytest.param("johnson", 2, 5, 12, id="johnson"),
+    pytest.param("qary", 3, 11, 0, id="3"),
+    pytest.param("qary", 5, 11, 0, id="5"),
+])
+def test_qary_planes_match_the_per_symbol_transpose(kind, q, L, n):
+    # the digit planes give every symbol's planes; each equals the
+    # transpose of the records' masks of the coordinates holding it
+    rnd = random.Random(q + n)
+    records = tuple(random_word(kind, q, L, n, rnd) for _ in range(300))
     db = Database(records)
     full = (1 << len(records)) - 1
+    width = len(symbols_of(records[0]))
     for a in range(q):
-        held = [sum(1 << j for j, b in enumerate(w.symbols) if b == a)
+        held = [sum(1 << j for j, b in enumerate(symbols_of(w)) if b == a)
                 for w in records]
-        assert db._lacking(a) == [full ^ p for p in _transpose(held, L)]
+        assert db._lacking(a) == [full ^ p for p in _transpose(held, width)]
+
+
+def test_a_binary_database_transposes_its_records_once(monkeypatch):
+    # both symbols' planes come from the one layout of the records
+    calls = []
+
+    def counted(masks, width):
+        calls.append(width)
+        return _transpose(masks, width)
+
+    monkeypatch.setattr(protocol, "_transpose", counted)
+    records = [BinaryWord(9, m) for m in random.Random(4).choices(
+        range(1 << 9), k=50)]
+    db = Database(tuple(records))
+    x = BinaryWord(9, 0b101100101)
+    for radius in range(5):
+        truth = {m for m, rec in enumerate(records, start=1)
+                 if distance(x, rec) <= radius}
+        assert records_of(server_answer(db, Query(x, radius))) == truth
+    assert calls == [9]
 
 
 def test_scan_rejects_a_query_of_another_shape():
